@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use sdq_core::multidim::{threshold_aggregate_with, SortedColumn, Subproblem};
+use sdq_core::multidim::{threshold_aggregate, SortedColumn, Subproblem};
 use sdq_core::{Dataset, DimRole, QueryScratch, ScoredPoint, SdError, SdQuery};
 
 use crate::TopKAlgorithm;
@@ -95,7 +95,16 @@ impl TaIndex {
                 DimRole::Attractive => Subproblem::attractive(col, q, w),
             });
         }
-        threshold_aggregate_with(&self.data, &self.roles, query, k, streams, scratch)
+        threshold_aggregate(
+            &self.data,
+            &self.roles,
+            query,
+            k,
+            streams,
+            scratch,
+            None,
+            None,
+        )
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! Measures, over a 100k × 4-D workload:
 //!
-//! * `encode` / `decode` — in-memory snapshot serialisation throughput,
+//! * `encode` / `decode` — in-memory snapshot serialisation throughput
+//!   (format v5, the only format written),
 //! * `save` / `load` — the same through the filesystem,
 //! * `rebuild_sd` / `rebuild_top1_k8` — the in-memory construction the
 //!   snapshot load replaces.
@@ -29,13 +30,13 @@ fn bench_store(c: &mut Criterion) {
     snap.dataset = Some(data.clone());
     snap.roles = Some(roles.clone());
     snap.sd = Some(sd);
-    let bytes = snap.to_bytes();
+    let bytes = snap.to_bytes().expect("encode");
     let mib = bytes.len() as f64 / (1024.0 * 1024.0);
     println!("snapshot payload: {mib:.1} MiB (n = {n}, dims = {dims})");
 
     let mut group = c.benchmark_group("store");
     group.sample_size(10);
-    group.bench_function("encode", |b| b.iter(|| snap.to_bytes()));
+    group.bench_function("encode", |b| b.iter(|| snap.to_bytes().expect("encode")));
     group.bench_function("decode", |b| {
         b.iter(|| Snapshot::from_bytes(&bytes).expect("bytes are valid"))
     });

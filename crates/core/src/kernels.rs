@@ -2,10 +2,9 @@
 //!
 //! Every hot loop in the workspace ultimately evaluates the same shape of
 //! arithmetic: *for a batch of points, accumulate `Σ_d sw_d·|p_d − q_d|`*
-//! (the SD-score with pre-signed weights, Eqn. 3) or a rotated projection
-//! key. This module owns that arithmetic once, over fixed-width
-//! structure-of-arrays *lanes* ([`LANES`] points per block), with three
-//! interchangeable backends:
+//! (the SD-score with pre-signed weights, Eqn. 3). This module owns that
+//! arithmetic once, over fixed-width structure-of-arrays *lanes*
+//! ([`LANES`] points per block), with three interchangeable backends:
 //!
 //! * a chunk-oriented **scalar** loop (the portable reference, and the
 //!   `SDQ_FORCE_SCALAR` escape hatch),
@@ -76,9 +75,8 @@ unsafe impl crate::view::Pod for LaneBlock {}
 /// The instruction-set level the kernels dispatch to.
 ///
 /// Dispatch is per kernel: the score accumulators have AVX2 and SSE2 arms;
-/// [`rotate_block`] and [`survivors`] have AVX2 arms and otherwise run the
-/// chunked-scalar loops (which the compiler autovectorizes at the x86-64
-/// SSE2 baseline). Every arm is bit-identical, so the level reported in
+/// [`survivors`] has an AVX2 arm and otherwise runs the chunked-scalar
+/// loop (which the compiler autovectorizes at the x86-64 SSE2 baseline). Every arm is bit-identical, so the level reported in
 /// `BENCH_queries.json` is a performance label, never a results label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
@@ -249,59 +247,6 @@ pub fn score_block_2d(
     score_add_dim(out, ys, qy, alpha);
 }
 
-// ─── rotated projection keys ────────────────────────────────────────────────
-
-/// Computes both rotated projection keys of a 2-D SoA block:
-/// `u[l] = cos·y[l] − sin·x[l]`, `v[l] = cos·y[l] + sin·x[l]` —
-/// bit-identical to [`Angle::u`]/[`Angle::v`](crate::geometry::Angle::v).
-/// The leaf-page expansion of the packed index batches its per-point heap
-/// priorities through this.
-#[inline]
-pub fn rotate_block(u: &mut [f64], v: &mut [f64], xs: &[f64], ys: &[f64], cos: f64, sin: f64) {
-    debug_assert!(u.len() == v.len() && u.len() == xs.len() && u.len() == ys.len());
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { rotate_block_avx2(u, v, xs, ys, cos, sin) },
-        _ => rotate_block_scalar(u, v, xs, ys, cos, sin),
-    }
-}
-
-fn rotate_block_scalar(u: &mut [f64], v: &mut [f64], xs: &[f64], ys: &[f64], cos: f64, sin: f64) {
-    for l in 0..u.len() {
-        let cy = cos * ys[l];
-        let sx = sin * xs[l];
-        u[l] = cy - sx;
-        v[l] = cy + sx;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn rotate_block_avx2(
-    u: &mut [f64],
-    v: &mut [f64],
-    xs: &[f64],
-    ys: &[f64],
-    cos: f64,
-    sin: f64,
-) {
-    use std::arch::x86_64::*;
-    let cv = _mm256_set1_pd(cos);
-    let sv = _mm256_set1_pd(sin);
-    let n = u.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        let x = _mm256_loadu_pd(xs.as_ptr().add(i));
-        let y = _mm256_loadu_pd(ys.as_ptr().add(i));
-        let cy = _mm256_mul_pd(cv, y);
-        let sx = _mm256_mul_pd(sv, x);
-        _mm256_storeu_pd(u.as_mut_ptr().add(i), _mm256_sub_pd(cy, sx));
-        _mm256_storeu_pd(v.as_mut_ptr().add(i), _mm256_add_pd(cy, sx));
-        i += 4;
-    }
-    rotate_block_scalar(&mut u[i..], &mut v[i..], &xs[i..], &ys[i..], cos, sin);
-}
-
 // ─── survivor selection ─────────────────────────────────────────────────────
 
 /// Batched k-th-floor compare: returns the bitmask of lanes that are alive
@@ -457,23 +402,6 @@ mod tests {
             let want = sd_score(&[1.0, 2.0], &q, &roles, &w);
             for &o in &out {
                 assert_eq!(o.to_bits(), want.to_bits());
-            }
-        });
-    }
-
-    #[test]
-    fn rotate_matches_angle_keys_bitwise() {
-        use crate::geometry::Angle;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let a = Angle::from_weights(0.37, 1.21).unwrap();
-        let xs: Vec<f64> = (0..LANES).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let ys: Vec<f64> = (0..LANES).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        with_each_isa(|| {
-            let (mut u, mut v) = ([0.0; LANES], [0.0; LANES]);
-            rotate_block(&mut u, &mut v, &xs, &ys, a.cos, a.sin);
-            for l in 0..LANES {
-                assert_eq!(u[l].to_bits(), a.u(xs[l], ys[l]).to_bits());
-                assert_eq!(v[l].to_bits(), a.v(xs[l], ys[l]).to_bits());
             }
         });
     }

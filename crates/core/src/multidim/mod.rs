@@ -32,7 +32,7 @@
 //! The aggregation additionally terminates as soon as its *k-th-best seen*
 //! score — locally tracked, and optionally shared across shard executions
 //! through a [`SharedThreshold`] — certifiably beats the admissible bound
-//! on everything unfetched; see [`threshold_aggregate_shared`].
+//! on everything unfetched; see [`threshold_aggregate`].
 
 pub mod pairing;
 pub mod plan;
@@ -543,32 +543,22 @@ impl SdIndex {
         k: usize,
         scratch: &'s mut QueryScratch,
     ) -> Result<&'s [ScoredPoint], SdError> {
-        self.query_shared(query, k, scratch, None)
+        self.query_masked(query, k, scratch, None, None)
     }
 
     /// [`SdIndex::query_with`] with an optional cross-execution
-    /// [`SharedThreshold`]: the aggregation publishes its running
-    /// k-th-best score into the handle and prunes against the handle's
-    /// floor, which is what lets the sharded engine run one execution per
-    /// shard and still terminate each of them against the *global* k-th
-    /// score. With `shared = None` this is exactly `query_with`.
+    /// [`SharedThreshold`] and an optional tombstone [`MaskView`].
     ///
-    /// The answer is canonical (score descending, ties by row id
-    /// ascending) and independent of the floor's observed staleness; a
-    /// shard execution may return fewer than `k` points when the floor
-    /// proves the missing ones cannot be in the global top-k.
-    pub fn query_shared<'s>(
-        &self,
-        query: &SdQuery,
-        k: usize,
-        scratch: &'s mut QueryScratch,
-        shared: Option<&SharedThreshold>,
-    ) -> Result<&'s [ScoredPoint], SdError> {
-        self.query_masked(query, k, scratch, shared, None)
-    }
-
-    /// [`SdIndex::query_shared`] with an optional tombstone [`MaskView`]:
-    /// masked rows are dropped *at scoring time* — before they can enter
+    /// The aggregation publishes its running k-th-best score into `shared`
+    /// and prunes against the handle's floor, which is what lets the
+    /// sharded engine run one execution per shard and still terminate each
+    /// of them against the *global* k-th score. The answer is canonical
+    /// (score descending, ties by row id ascending) and independent of the
+    /// floor's observed staleness; a shard execution may return fewer than
+    /// `k` points when the floor proves the missing ones cannot be in the
+    /// global top-k.
+    ///
+    /// Masked rows are dropped *at scoring time* — before they can enter
     /// the candidate pool or the k-th-score floor — so the answer is the
     /// canonical top-k of the **live** rows only, exactly as if the dead
     /// rows had never been indexed. Stream bounds keep covering dead rows
@@ -633,7 +623,7 @@ impl SdIndex {
 
         let streams = self.assemble_streams(query, k, scratch)?;
 
-        threshold_aggregate_masked(
+        threshold_aggregate(
             &self.data,
             &self.roles,
             query,
@@ -651,23 +641,13 @@ impl SdIndex {
     /// `scratch`; recovered by [`ShardExecution::finish_into`]), so one
     /// execution per shard can be in flight simultaneously.
     ///
-    /// Unlike [`SdIndex::query_shared`], single-pair queries do not take
+    /// Unlike [`SdIndex::query_with`], single-pair queries do not take
     /// the direct 2-D shortcut here — a suspended execution must expose
     /// stream state — but the answer is bit-identical either way (both
-    /// paths are canonical).
+    /// paths are canonical). With a tombstone `mask` the execution scores
+    /// (and therefore emits) live rows only; see [`SdIndex::query_masked`]
+    /// for the exactness argument.
     pub fn begin_query<'i>(
-        &'i self,
-        query: &'i SdQuery,
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> Result<ShardExecution<'i>, SdError> {
-        self.begin_query_masked(query, k, scratch, None)
-    }
-
-    /// [`SdIndex::begin_query`] with an optional tombstone [`MaskView`] —
-    /// the masked execution scores (and therefore emits) live rows only;
-    /// see [`SdIndex::query_masked`] for the exactness argument.
-    pub fn begin_query_masked<'i>(
         &'i self,
         query: &'i SdQuery,
         k: usize,
@@ -1301,7 +1281,7 @@ impl<'i> ShardExecution<'i> {
 
     /// Runs up to `rounds` aggregation iterations (one fetch per stream
     /// each). Publishes into / prunes against `shared` exactly like
-    /// [`SdIndex::query_shared`]; `on_score` observes every newly scored
+    /// [`SdIndex::query_masked`]; `on_score` observes every newly scored
     /// row's exact score. Returns `Ok(true)` once complete; a deadline or
     /// cancellation carried in the originating scratch aborts with the
     /// typed error (the execution keeps its certified partial answer).
@@ -1372,64 +1352,26 @@ impl<'i> ShardExecution<'i> {
     }
 }
 
-/// The §5 aggregation loop over caller-assembled streams, allocating its
-/// own buffers. See [`threshold_aggregate_with`] for the reusable-scratch
-/// variant.
-pub fn threshold_aggregate(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k: usize,
-    streams: &mut [Subproblem<'_>],
-) -> Result<Vec<ScoredPoint>, SdError> {
-    let mut scratch = QueryScratch::new();
-    aggregate_into(data, roles, query, k, streams, &mut scratch, None, None)?;
-    Ok(std::mem::take(&mut scratch.answers))
-}
-
-/// The §5 aggregation loop with scratch-owned buffers: `streams` must have
-/// been assembled into a buffer obtained from
-/// [`QueryScratch::stream_buf`]; the vector (and every recyclable stream
-/// buffer inside it) is handed back to the scratch before returning. The
-/// answer slice is borrowed from the scratch.
-pub fn threshold_aggregate_with<'a, 's>(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k: usize,
-    streams: Vec<Subproblem<'a>>,
-    scratch: &'s mut QueryScratch,
-) -> Result<&'s [ScoredPoint], SdError> {
-    threshold_aggregate_shared(data, roles, query, k, streams, scratch, None)
-}
-
-/// [`threshold_aggregate_with`] with an optional cross-execution
-/// [`SharedThreshold`]: the loop publishes its running k-th-best exact
-/// score into the handle and terminates as soon as the handle's floor
-/// (raised concurrently by sibling shard executions of the same logical
-/// query) certifiably beats the admissible bound `τ` on every unfetched
-/// row. Canonical regardless of floor staleness; with a floor the answer
-/// may hold fewer than `k` points — every omitted one is strictly below a
-/// score attained by `k` real points elsewhere.
-pub fn threshold_aggregate_shared<'a, 's>(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k: usize,
-    streams: Vec<Subproblem<'a>>,
-    scratch: &'s mut QueryScratch,
-    shared: Option<&SharedThreshold>,
-) -> Result<&'s [ScoredPoint], SdError> {
-    threshold_aggregate_masked(data, roles, query, k, streams, scratch, shared, None)
-}
-
-/// [`threshold_aggregate_shared`] with an optional tombstone [`MaskView`]:
-/// masked rows are dropped at scoring time, so they reach neither the
-/// candidate pool, the k-th-score floor, nor the emitted answer — the
-/// result is the canonical top-k of the live rows. See
-/// [`SdIndex::query_masked`].
-#[allow(clippy::too_many_arguments)] // mirrors the unmasked entry point
-pub fn threshold_aggregate_masked<'a, 's>(
+/// The §5 aggregation loop over caller-assembled streams, with
+/// scratch-owned buffers: `streams` must have been assembled into a buffer
+/// obtained from [`QueryScratch::stream_buf`]; the vector (and every
+/// recyclable stream buffer inside it) is handed back to the scratch
+/// before returning. The answer slice is borrowed from the scratch.
+///
+/// With a `shared` [`SharedThreshold`] the loop publishes its running
+/// k-th-best exact score into the handle and terminates as soon as the
+/// handle's floor (raised concurrently by sibling shard executions of the
+/// same logical query) certifiably beats the admissible bound `τ` on every
+/// unfetched row. Canonical regardless of floor staleness; with a floor the
+/// answer may hold fewer than `k` points — every omitted one is strictly
+/// below a score attained by `k` real points elsewhere.
+///
+/// With a tombstone `mask`, masked rows are dropped at scoring time, so
+/// they reach neither the candidate pool, the k-th-score floor, nor the
+/// emitted answer — the result is the canonical top-k of the live rows.
+/// See [`SdIndex::query_masked`].
+#[allow(clippy::too_many_arguments)]
+pub fn threshold_aggregate<'a, 's>(
     data: &Dataset,
     roles: &[DimRole],
     query: &SdQuery,

@@ -5,9 +5,8 @@
 //! A fresh [`QueryScratch`] is cheap (all containers start empty); after the
 //! first query through it, every buffer has grown to its high-water mark and
 //! subsequent queries of similar shape allocate nothing. One scratch serves
-//! every engine in the crate — [`TopKIndex`](crate::topk::TopKIndex),
-//! [`PackedTopKIndex`](crate::topk::PackedTopKIndex), the Claim 6 bracketing
-//! path and the §5 [`SdIndex`](crate::multidim::SdIndex) — because they all
+//! every engine in the crate — [`TopKIndex`](crate::topk::TopKIndex), the
+//! Claim 6 bracketing path and the §5 [`SdIndex`](crate::multidim::SdIndex) — because they all
 //! decompose into the same primitives: certified angle streams
 //! (`AngleScratch`), a candidate pool, a seen-set and an answer buffer.
 //!
@@ -86,7 +85,6 @@ impl StampSet {
 ///
 /// Obtain one with [`QueryScratch::new`], then pass it to the `query_with`
 /// entry points ([`TopKIndex::query_with`](crate::topk::TopKIndex::query_with),
-/// [`PackedTopKIndex::query_with`](crate::topk::PackedTopKIndex::query_with),
 /// [`SdIndex::query_with`](crate::multidim::SdIndex::query_with), or a
 /// baseline's equivalent). Results are returned as a slice borrowed from the
 /// scratch — copy them out if they must outlive the next query.
@@ -107,7 +105,7 @@ pub struct QueryScratch {
     pub(crate) seen: StampSet,
     /// The answer buffer `query_with` returns a borrow of.
     pub(crate) answers: Vec<ScoredPoint>,
-    /// Row/position staging buffer (packed bracketing candidates).
+    /// Row staging buffer (the batched aggregation's fetched rows).
     pub(crate) rows: Vec<u32>,
     /// Min-heap over the best `k` exact scores seen so far by the running
     /// query — the k-th-best floor that powers early termination and the
@@ -193,7 +191,7 @@ impl QueryScratch {
 
     /// Hands out the recycled (empty) subproblem buffer for assembling a
     /// query's stream list. Give it back through
-    /// [`threshold_aggregate_with`](crate::multidim::threshold_aggregate_with),
+    /// [`threshold_aggregate`](crate::multidim::threshold_aggregate),
     /// which drains it and returns the allocation here.
     ///
     /// The move out is safe at any caller lifetime because `Subproblem` is

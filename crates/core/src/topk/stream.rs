@@ -72,11 +72,8 @@ pub(crate) fn inflate(threshold: f64) -> f64 {
     threshold + EPS_REL * (1.0 + threshold.abs())
 }
 
-/// One frontier-heap element. The meaning of the fields differs per tree
-/// layout but the *type* is shared so one [`AngleScratch`] serves both:
-///
-/// * dynamic tree: `(priority, Reverse(node-or-slot id), is_point as u32)`,
-/// * packed tree: `(priority, Reverse(level), index within level)`.
+/// One frontier-heap element:
+/// `(priority, Reverse(node-or-slot id), is_point as u32)`.
 pub(crate) type HeapEntry = (OrdF64, Reverse<u32>, u32);
 
 /// Reusable state of one certified angle query: the four projection-type

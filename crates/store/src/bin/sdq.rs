@@ -30,7 +30,7 @@ use sdq_engine::{
 use sdq_rstar::RStarTree;
 use sdq_store::{
     parse_roles, run_chaos, scrub_path, wal, ChaosConfig, DiskStorage, DurableEngine,
-    DurableOptions, ScrubReport, SectionKind, Snapshot, SnapshotFormat, SyncPolicy,
+    DurableOptions, ScrubReport, SectionKind, Snapshot, SyncPolicy,
 };
 
 const USAGE: &str = "\
@@ -40,7 +40,7 @@ USAGE:
     sdq build --out PATH (--csv FILE | --synthetic DIST --n N --dims D)
               --roles STR [--shards S] [--seed S] [--index LIST]
               [--branching B] [--angles N] [--pairing arbitrary|correlation]
-              [--alpha A] [--beta B] [--k K] [--format v5|legacy]
+              [--alpha A] [--beta B] [--k K]
     sdq query PATH --point X,Y,... [--weights W,W,...] [--k K]
               [--repeat N] [--threads T] [--mapped] [--slow-query-us U]
               [--timeout-us U] [--explain | --profile | --profile-json]
@@ -65,10 +65,12 @@ USAGE:
 
 SUBCOMMANDS:
     build        Generate or load a dataset, build the requested indexes and
-                 write one snapshot file.
+                 write one snapshot file (format v5; every command that
+                 writes a snapshot writes v5, and v1-v4 files are read-only
+                 inputs upgraded on their next write).
     query        Load a snapshot and answer a top-k SD-Query from it.
     insert       Append rows (CSV file or '-' for stdin) to the engine's
-                 delta region and rewrite the snapshot (format v3).
+                 delta region and rewrite the snapshot.
     delete       Tombstone rows by global id and rewrite the snapshot.
     compact      Fold the delta region into the shards, drop tombstones,
                  bump the engine epoch and rewrite the snapshot. With
@@ -124,8 +126,7 @@ BUILD OPTIONS:
     --dims D           Synthetic dimensionality (default 2).
     --seed S           Generator seed (default 42).
     --roles STR        One char per dimension: a(ttractive) | r(epulsive).
-    --shards S         Shard the sd-index into an S-way engine (default 1;
-                       S > 1 writes a format-v2 snapshot).
+    --shards S         Shard the sd-index into an S-way engine (default 1).
     --index LIST       Comma list of sd, topk, top1, rstar, all (default sd).
                        topk/top1 need exactly one 'a' and one 'r' dimension.
     --branching B      Tree branching factor (default 8).
@@ -135,8 +136,6 @@ BUILD OPTIONS:
     --alpha A          top1: repulsive weight (default 1).
     --beta B           top1: attractive weight (default 1).
     --k K              top1: fixed k (default 1).
-    --format F         Container format: v5 (zero-copy mmap-native, the
-                       default) or legacy (v1-v4, readable by older builds).
 
 MUTATION OPTIONS (insert / delete / compact):
     --csv FILE         Rows to insert, one comma-separated row per line
@@ -150,8 +149,8 @@ MUTATION OPTIONS (insert / delete / compact):
     --out PATH2        Write the mutated snapshot here instead of rewriting
                        PATH in place.
     --wal              Write-ahead-log the mutation before applying it:
-                       appends to PATH.wal (creating it — and upgrading the
-                       snapshot to engine-only format v4 — on first use),
+                       appends to PATH.wal (creating it — and rewriting the
+                       snapshot as an engine-only checkpoint — on first use),
                        so an acknowledged write survives a crash. A
                        WAL-backed snapshot refuses non---wal mutations.
     --sync-every N     Group commit: fsync the WAL once every N records
@@ -390,20 +389,12 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
     let mut beta: f64 = 1.0;
     let mut k: usize = 1;
     let mut shards: usize = 1;
-    let mut format = SnapshotFormat::V5;
 
     let mut all_requested = false;
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
             "--out" => out = Some(flags.value("--out")?.to_string()),
-            "--format" => {
-                format = match flags.value("--format")? {
-                    "v5" | "5" => SnapshotFormat::V5,
-                    "legacy" | "v1" | "v2" | "v3" | "v4" => SnapshotFormat::Legacy,
-                    other => return Err(usage(format!("--format: unknown format {other:?}"))),
-                }
-            }
             "--shards" => shards = flags.parsed("--shards")?,
             "--csv" => csv = Some(flags.value("--csv")?.to_string()),
             "--synthetic" => {
@@ -577,7 +568,7 @@ fn cmd_build(args: &[String]) -> Result<(), CliError> {
         println!("note: raw dataset section omitted (rows live in the engine shards)");
     }
 
-    let (saved, save_ms) = timed(|| snap.save_as(&out, format));
+    let (saved, save_ms) = timed(|| snap.save(&out));
     saved.map_err(runtime)?;
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     println!("wrote {out} ({bytes} bytes) in {save_ms:.1} ms");
@@ -722,8 +713,8 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         let m = m.map_err(runtime)?;
         if m.version() < sdq_store::FORMAT_V5 {
             eprintln!(
-                "note: {path} is a format-v{} snapshot — decoded eagerly; rebuild (or \
-                 compact) for a zero-copy v5 open",
+                "note: {path} is a format-v{} snapshot — decoded eagerly; any rewrite \
+                 (insert, delete, compact) upgrades it to v5 for a zero-copy open",
                 m.version()
             );
         }
@@ -1200,7 +1191,7 @@ fn open_durable(path: &str, opts: DurableOptions) -> Result<DurableEngine, CliEr
             ));
         };
         println!(
-            "note: enabling the WAL — {path} becomes an engine-only v4 snapshot with a \
+            "note: enabling the WAL — {path} becomes an engine-only checkpoint with a \
              {} sidecar",
             wal_sidecar(path)
         );
@@ -1252,7 +1243,7 @@ fn load_query_snapshot(path: &str) -> Result<Snapshot, CliError> {
 
 /// Loads a snapshot for mutation: the engine when present, otherwise a
 /// single-shard engine promoted from the sd-index (the snapshot upgrades to
-/// an engine snapshot on save — format v2/v3).
+/// an engine snapshot on save).
 fn load_mutable_engine(path: &str) -> Result<(Snapshot, SdEngine), CliError> {
     let mut snap = Snapshot::load(path).map_err(runtime)?;
     if snap.durability.is_some() || std::path::Path::new(&wal_sidecar(path)).exists() {
@@ -1265,7 +1256,7 @@ fn load_mutable_engine(path: &str) -> Result<(Snapshot, SdEngine), CliError> {
         return Ok((snap, engine));
     }
     if let Some(sd) = snap.sd.take() {
-        println!("note: promoting the sd-index to a single-shard engine (snapshot becomes v2+)");
+        println!("note: promoting the sd-index to a single-shard engine");
         return Ok((snap, SdEngine::single(sd).map_err(runtime)?));
     }
     Err(runtime(
@@ -1302,11 +1293,8 @@ fn save_mutated(mut snap: Snapshot, engine: SdEngine, out: &str) -> Result<(), C
         );
     }
     snap.engine = Some(engine);
-    // Preserve the on-disk format the snapshot was found in: a mutated v5
-    // file stays v5 (verify-before-save guards mapped bytes), a legacy
-    // file stays legacy so older readers keep working.
-    let format = snap.preferred_format();
-    let (saved, ms) = timed(|| snap.save_as(out, format));
+    // Always v5: a legacy (v1-v4) input is upgraded by this write.
+    let (saved, ms) = timed(|| snap.save(out));
     saved.map_err(runtime)?;
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     println!("wrote {out} ({bytes} bytes) in {ms:.1} ms");
@@ -1512,13 +1500,7 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let (mut snap, mut engine) = load_mutable_engine(path)?;
-    // Compaction rewrites every shard anyway — the natural point to
-    // upgrade the container to the mmap-native format.
-    if snap.preferred_format() == SnapshotFormat::Legacy {
-        println!("note: compaction rewrites the container in format v5 (zero-copy)");
-        snap.source_version = None;
-    }
+    let (snap, mut engine) = load_mutable_engine(path)?;
     let (report, ms) = timed(|| engine.compact_with(&options));
     let report = report.map_err(runtime)?;
     println!(
@@ -3301,7 +3283,7 @@ fn cmd_bench_query(args: &[String]) -> Result<(), CliError> {
                             e.shard_count()
                         )));
                     }
-                    // A v3 snapshot's engine already carries writes: the
+                    // A mutated snapshot's engine already carries writes: the
                     // numbers below would not be the pure-snapshot
                     // baseline future PRs compare against.
                     if e.has_mutations() {

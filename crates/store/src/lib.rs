@@ -6,7 +6,11 @@
 //! [`TopKIndex`], a §3 [`Top1Index`] and the R*-tree baseline — into one
 //! versioned, checksummed binary file that restores without any rebuilding.
 //!
-//! ## File format (versions 1 through 4)
+//! ## Legacy file formats (versions 1 through 4, read-only)
+//!
+//! This build writes only version 5 (below). It still reads every older
+//! version, so old files keep loading; the next save of a loaded snapshot
+//! rewrites it as v5.
 //!
 //! ```text
 //! offset  size  field
@@ -22,30 +26,21 @@
 //! **Version 2** adds the sharded engine: an `engine-manifest` section
 //! (dimensionality, roles, per-shard row counts) plus one `engine-shard`
 //! section per shard — the shard's [`SdIndex`] codec bytes, with the shard
-//! ordinal carried in the table entry's previously-reserved `u32`. A
-//! snapshot without an engine is still written as version 1, so older
-//! readers keep reading everything this build produces short of engines;
-//! version-1 files load unchanged.
+//! ordinal carried in the table entry's previously-reserved `u32`.
 //!
 //! **Version 3** adds the engine's uncompacted write state: a
 //! `mutation-delta` section (the delta-region rows as plain [`Dataset`]
 //! codec bytes) and a `mutation-tombstones` section (the addressable row
 //! domain as a `u64`, then the dead row ids as a sorted ascending `u32`
-//! list). Both are written only when non-empty, and the version only bumps
-//! to 3 when at least one is — a compacted (delta-free, tombstone-free)
-//! engine still writes version 2 and a plain index still writes version 1,
-//! so every file is readable by the oldest reader that understands its
-//! content. v1/v2 files load unchanged.
+//! list). Both are present only when non-empty.
 //!
 //! **Version 4** adds the `durability` section: the checkpoint generation
 //! and epoch that tie a snapshot to its write-ahead log (see the
-//! [`durable`] module). As before, the version only bumps when the
-//! section is present — snapshots written outside a [`DurableEngine`]
-//! keep their old version.
+//! [`durable`] module).
 //!
-//! Every section payload carries a CRC-32; the table itself is covered by a
-//! trailing table checksum, so *any* single flipped byte in the file is
-//! detected before decoding begins. Structural validation inside
+//! Every legacy section payload carries a CRC-32; the table itself is
+//! covered by a trailing table checksum, so *any* single flipped byte in
+//! the file is detected before decoding begins. Structural validation inside
 //! `sdq_core::codec` is the second line of defence: even a checksum
 //! collision cannot produce an index that panics at query time.
 //!
@@ -68,10 +63,9 @@
 //! an `mmap` of the file: open cost is O(metadata), the first query pays
 //! one checksum pass over only the regions it touches, and resident memory
 //! scales with touched pages rather than file size. [`Snapshot::from_bytes`]
-//! reads v5 eagerly (owned copies, checksums up front) so every reader
-//! understands every version. Writers choose: [`Snapshot::to_bytes`] emits
-//! the newest *legacy* version the content needs (v1–v4, maximum reader
-//! compatibility), [`Snapshot::to_bytes_v5`] emits v5.
+//! reads v5 eagerly (owned copies, checksums up front). Both readers accept
+//! every version; [`Snapshot::to_bytes`] and [`Snapshot::save`] always
+//! write v5.
 //!
 //! ## Example
 //!
@@ -85,7 +79,7 @@
 //!
 //! let mut snap = Snapshot::new();
 //! snap.sd = Some(index);
-//! let bytes = snap.to_bytes();
+//! let bytes = snap.to_bytes().unwrap();
 //!
 //! let restored = Snapshot::from_bytes(&bytes).unwrap();
 //! let q = SdQuery::uniform_weights(vec![1.0, 2.0], &roles);
@@ -103,9 +97,7 @@ pub mod wal;
 use std::path::Path;
 use std::sync::Arc;
 
-use sdq_core::codec::{
-    corrupt, decode_from_slice, encode_to_vec, Codec, Reader, Writer, REGION_ALIGN,
-};
+use sdq_core::codec::{corrupt, decode_from_slice, Codec, Reader, Writer, REGION_ALIGN};
 use sdq_core::integrity::ensure_all;
 use sdq_core::multidim::SdIndex;
 use sdq_core::top1::Top1Index;
@@ -126,40 +118,29 @@ pub use sdq_core::CrcState;
 /// `b"SDQSNAP\0"` — the first 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"SDQSNAP\0";
 
-/// The newest format version this build writes and reads.
+/// The newest format version this build reads — and the only one it
+/// writes.
 pub const FORMAT_VERSION: u32 = 5;
 
-/// The original format (no engine sections). Snapshots without an engine
-/// are still written as version 1 for maximum reader compatibility.
+/// The original format (no engine sections). Read-only.
 pub const FORMAT_V1: u32 = 1;
 
-/// The sharded-engine format. Engines without uncompacted mutations are
-/// still written as version 2.
+/// The sharded-engine format. Read-only.
 pub const FORMAT_V2: u32 = 2;
 
-/// The live-mutation format (delta + tombstone sections). Pinned so a
-/// future version bump cannot shift what these sections require.
+/// The live-mutation format (delta + tombstone sections). Read-only;
+/// pinned so section gating cannot shift what these sections require.
 pub const FORMAT_V3: u32 = 3;
 
 /// The durability format (checkpoint-generation section tying a snapshot
-/// to its WAL). Only [`DurableEngine`] checkpoints write it.
+/// to its WAL). Read-only.
 pub const FORMAT_V4: u32 = 4;
 
 /// The zero-copy format: 64-byte-aligned region-framed section payloads
 /// whose array regions are the exact in-memory representation, checksummed
-/// lazily (CRC-32C) on first touch. Written by [`Snapshot::to_bytes_v5`];
+/// lazily (CRC-32C) on first touch. Written by [`Snapshot::to_bytes`];
 /// mappable via [`Snapshot::open_mapped`].
 pub const FORMAT_V5: u32 = 5;
-
-/// Which container encoding a save should produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotFormat {
-    /// The newest legacy version the content needs (v1–v4): compact,
-    /// eagerly checksummed, readable by every prior build.
-    Legacy,
-    /// Format v5: mmap-native aligned regions, lazy checksums, O(1) open.
-    V5,
-}
 
 /// Hard cap on the section count, far above anything legitimate; rejects
 /// absurd table sizes from corrupt headers before allocation.
@@ -373,15 +354,10 @@ pub struct Snapshot {
     pub top1: Option<Top1Index>,
     /// The R*-tree baseline.
     pub rstar: Option<RStarTree>,
-    /// The sharded execution engine (snapshot format v2).
+    /// The sharded execution engine.
     pub engine: Option<SdEngine>,
-    /// Durability metadata written by [`DurableEngine`] checkpoints
-    /// (snapshot format v4).
+    /// Durability metadata written by [`DurableEngine`] checkpoints.
     pub durability: Option<DurabilityInfo>,
-    /// The container version this snapshot was decoded from (`None` for a
-    /// freshly built snapshot). [`Snapshot::preferred_format`] uses it so
-    /// mutate-and-save flows preserve the on-disk format they found.
-    pub source_version: Option<u32>,
 }
 
 /// Metadata of one stored section, as reported by [`Snapshot::inspect_bytes`].
@@ -436,99 +412,9 @@ impl Snapshot {
             && self.durability.is_none()
     }
 
-    /// Serialises every present artifact into the snapshot container
-    /// format: version 2 when an engine is present, version 1 otherwise
-    /// (so engine-less snapshots stay readable by older builds).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        // (kind, reserved, payload) — reserved carries the shard ordinal
-        // for engine-shard sections and stays 0 everywhere else.
-        let mut sections: Vec<(SectionKind, u32, Vec<u8>)> = Vec::new();
-        if let Some(d) = &self.dataset {
-            sections.push((SectionKind::Dataset, 0, encode_to_vec(d)));
-        }
-        if let Some(r) = &self.roles {
-            sections.push((SectionKind::Roles, 0, encode_to_vec(r)));
-        }
-        if let Some(i) = &self.sd {
-            sections.push((SectionKind::SdIndex, 0, encode_to_vec(i)));
-        }
-        if let Some(i) = &self.topk {
-            sections.push((SectionKind::TopKIndex, 0, encode_to_vec(i)));
-        }
-        if let Some(i) = &self.top1 {
-            sections.push((SectionKind::Top1Index, 0, encode_to_vec(i)));
-        }
-        if let Some(t) = &self.rstar {
-            sections.push((SectionKind::RStarTree, 0, encode_to_vec(t)));
-        }
-        if let Some(e) = &self.engine {
-            sections.push((
-                SectionKind::EngineManifest,
-                0,
-                EngineManifest::of(e).encode(),
-            ));
-            for (ordinal, shard) in e.shards().iter().enumerate() {
-                sections.push((
-                    SectionKind::EngineShard,
-                    ordinal as u32,
-                    encode_to_vec(shard),
-                ));
-            }
-            if !e.delta().is_empty() {
-                sections.push((SectionKind::MutationDelta, 0, encode_to_vec(e.delta())));
-            }
-            let tombstones = e.tombstone_ids();
-            if !tombstones.is_empty() {
-                let mut w = Writer::new();
-                w.u64(e.total_rows() as u64);
-                w.u32s(&tombstones);
-                sections.push((SectionKind::MutationTombstones, 0, w.into_bytes()));
-            }
-        }
-        if let Some(d) = &self.durability {
-            sections.push((SectionKind::Durability, 0, d.encode()));
-        }
-        let version = if self.durability.is_some() {
-            FORMAT_V4
-        } else {
-            match &self.engine {
-                Some(e) if e.has_mutations() => FORMAT_V3,
-                Some(_) => FORMAT_V2,
-                None => FORMAT_V1,
-            }
-        };
-
-        // Header: magic + version + count + table + table CRC.
-        let table_bytes = TABLE_ENTRY_BYTES * sections.len();
-        let payload_base = (8 + 4 + 4 + table_bytes + 4) as u64;
-
-        let mut table = Writer::new();
-        let mut offset = payload_base;
-        for (kind, reserved, payload) in &sections {
-            table.u32(*kind as u32);
-            table.u32(*reserved);
-            table.u64(offset);
-            table.u64(payload.len() as u64);
-            table.u32(crc32(payload));
-            offset += payload.len() as u64;
-        }
-        let table = table.into_bytes();
-
-        let mut out = Vec::with_capacity(offset as usize);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        out.extend_from_slice(&table);
-        out.extend_from_slice(&crc32(&table).to_le_bytes());
-        for (_, _, payload) in &sections {
-            out.extend_from_slice(payload);
-        }
-        out
-    }
-
     /// Verifies every lazily-checksummed region reachable from the
     /// queryable artifacts (mapped §5 indexes, 2-D trees, engine shards).
-    /// A no-op on fully owned snapshots. Called by [`Snapshot::to_bytes_v5`]
+    /// A no-op on fully owned snapshots. Called by [`Snapshot::to_bytes`]
     /// so corrupt mapped bytes are never re-encoded under fresh checksums.
     pub fn verify_integrity(&self) -> Result<(), SdError> {
         if let Some(sd) = &self.sd {
@@ -629,7 +515,7 @@ impl Snapshot {
     /// Fails only when this snapshot holds mapped views whose deferred
     /// checksums turn out bad — corruption must surface, not be laundered
     /// under fresh checksums.
-    pub fn to_bytes_v5(&self) -> Result<Vec<u8>, SdError> {
+    pub fn to_bytes(&self) -> Result<Vec<u8>, SdError> {
         self.verify_integrity()?;
         let sections = self.v5_sections();
         let table_bytes = TABLE_ENTRY_BYTES * sections.len();
@@ -660,24 +546,6 @@ impl Snapshot {
             out.extend_from_slice(payload);
         }
         Ok(out)
-    }
-
-    /// Serialises in the requested container format.
-    pub fn to_bytes_as(&self, format: SnapshotFormat) -> Result<Vec<u8>, SdError> {
-        match format {
-            SnapshotFormat::Legacy => Ok(self.to_bytes()),
-            SnapshotFormat::V5 => self.to_bytes_v5(),
-        }
-    }
-
-    /// The format a save should default to: whatever this snapshot was
-    /// decoded from (so mutate-and-save flows preserve the on-disk format
-    /// they found), v5 for freshly built snapshots.
-    pub fn preferred_format(&self) -> SnapshotFormat {
-        match self.source_version {
-            Some(v) if v < FORMAT_V5 => SnapshotFormat::Legacy,
-            _ => SnapshotFormat::V5,
-        }
     }
 
     fn parse_header(bytes: &[u8]) -> Result<(u32, Vec<TableEntry>), SdError> {
@@ -772,7 +640,6 @@ impl Snapshot {
             return Self::decode_v5(bytes, &entries, None).map(|(snap, _)| snap);
         }
         let mut snap = Snapshot::new();
-        snap.source_version = Some(version);
         let mut manifest: Option<EngineManifest> = None;
         let mut engine_shards: Vec<(u32, SdIndex)> = Vec::new();
         let mut delta: Option<Dataset> = None;
@@ -898,7 +765,6 @@ impl Snapshot {
                 .ok_or_else(|| corrupt("section range overflows"))?;
         }
         let mut snap = Snapshot::new();
-        snap.source_version = Some(FORMAT_V5);
         let mut regions: Vec<Arc<SectionIntegrity>> = Vec::new();
         let mut manifest: Option<EngineManifest> = None;
         let mut engine_shards: Vec<(u32, SdIndex)> = Vec::new();
@@ -1056,12 +922,13 @@ impl Snapshot {
         })
     }
 
-    /// Writes the snapshot to `path` atomically *and durably*: temp file
-    /// → `sync_all` → rename → parent-directory fsync, so a crash at any
-    /// point leaves either the old file or the complete new one.
+    /// Writes the snapshot to `path` in format v5, atomically *and
+    /// durably*: temp file → `sync_all` → rename → parent-directory fsync,
+    /// so a crash at any point leaves either the old file or the complete
+    /// new one. Fails like [`Snapshot::to_bytes`] on corrupt mapped bytes.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SdError> {
         let path = path.as_ref();
-        let bytes = self.to_bytes();
+        let bytes = self.to_bytes()?;
         io::atomic_write_path(path, &bytes)
             .map_err(|e| SdError::SnapshotIo(format!("{}: {e}", path.display())))
     }
@@ -1080,19 +947,6 @@ impl Snapshot {
         let bytes = std::fs::read(path)
             .map_err(|e| SdError::SnapshotIo(format!("{}: {e}", path.display())))?;
         Self::inspect_bytes(&bytes)
-    }
-
-    /// [`Snapshot::save`] in an explicit container format.
-    pub fn save_as(&self, path: impl AsRef<Path>, format: SnapshotFormat) -> Result<(), SdError> {
-        let path = path.as_ref();
-        let bytes = self.to_bytes_as(format)?;
-        io::atomic_write_path(path, &bytes)
-            .map_err(|e| SdError::SnapshotIo(format!("{}: {e}", path.display())))
-    }
-
-    /// [`Snapshot::save`] in format v5 (the mmap-native encoding).
-    pub fn save_v5(&self, path: impl AsRef<Path>) -> Result<(), SdError> {
-        self.save_as(path, SnapshotFormat::V5)
     }
 
     /// Opens the snapshot at `path` zero-copy: the file is `mmap`ed and a
@@ -1236,55 +1090,28 @@ mod tests {
         snap
     }
 
-    #[test]
-    fn full_snapshot_roundtrips() {
-        let snap = sample_snapshot();
-        let bytes = snap.to_bytes();
-        let back = Snapshot::from_bytes(&bytes).unwrap();
+    // ── legacy fixtures (formats v1–v4, read-only) ──────────────────────
+    //
+    // This build has no v1–v4 writer. These files were written by the last
+    // build that had one, from exactly the snapshots `legacy_sources`
+    // rebuilds, and keep every legacy reader path covered.
 
-        let q = SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], snap.roles.as_ref().unwrap());
-        assert_eq!(
-            back.sd.as_ref().unwrap().query(&q, 5).unwrap(),
-            snap.sd.as_ref().unwrap().query(&q, 5).unwrap()
-        );
-        assert_eq!(
-            back.topk
-                .as_ref()
-                .unwrap()
-                .query(1.0, 1.0, 1.0, 0.5, 2)
-                .unwrap(),
-            snap.topk
-                .as_ref()
-                .unwrap()
-                .query(1.0, 1.0, 1.0, 0.5, 2)
-                .unwrap()
-        );
-        assert_eq!(
-            back.top1.as_ref().unwrap().query(0.0, 0.0),
-            snap.top1.as_ref().unwrap().query(0.0, 0.0)
-        );
-        assert_eq!(back.dataset, snap.dataset);
-        assert_eq!(back.roles, snap.roles);
-        let engine = back.engine.as_ref().unwrap();
-        assert_eq!(engine.shard_count(), 2);
-        // Mutation state survives the round trip: delta rows, tombstones
-        // and the answers that depend on both.
-        assert_eq!(engine.delta_rows(), 2);
-        assert_eq!(engine.tombstone_count(), 1);
-        assert_eq!(
-            engine.tombstone_ids(),
-            snap.engine.as_ref().unwrap().tombstone_ids()
-        );
-        assert_eq!(
-            engine.query(&q, 5).unwrap(),
-            snap.engine.as_ref().unwrap().query(&q, 5).unwrap()
-        );
-        // Deterministic bytes.
-        assert_eq!(back.to_bytes(), bytes);
+    const LEGACY_V1: &[u8] = include_bytes!("../tests/fixtures/legacy_v1.bin");
+    const LEGACY_V2: &[u8] = include_bytes!("../tests/fixtures/legacy_v2.bin");
+    const LEGACY_V3: &[u8] = include_bytes!("../tests/fixtures/legacy_v3.bin");
+    const LEGACY_V4: &[u8] = include_bytes!("../tests/fixtures/legacy_v4.bin");
+    /// `sample_snapshot()` in format v5, pinned byte for byte.
+    const SAMPLE_V5: &[u8] = include_bytes!("../tests/fixtures/sample_v5.bin");
+
+    fn sample_durability() -> DurabilityInfo {
+        DurabilityInfo {
+            generation: 7,
+            checkpoint_epoch: 3,
+        }
     }
 
-    #[test]
-    fn clean_engine_matches_monolithic_and_stays_v2() {
+    /// A snapshot holding only a clean (mutation-free) 2-shard engine.
+    fn clean_engine_snapshot() -> Snapshot {
         let sd = sample_sd();
         let mut snap = Snapshot::new();
         snap.engine = Some(
@@ -1298,28 +1125,158 @@ mod tests {
             )
             .unwrap(),
         );
-        let bytes = snap.to_bytes();
-        assert_eq!(Snapshot::inspect_bytes(&bytes).unwrap().version, FORMAT_V2);
-        let back = Snapshot::from_bytes(&bytes).unwrap();
-        let engine = back.engine.as_ref().unwrap();
-        assert!(!engine.has_mutations());
-        let q = SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], sd.roles());
-        // A clean engine answers exactly like the monolithic index.
-        assert_eq!(engine.query(&q, 5).unwrap(), sd.query(&q, 5).unwrap());
+        snap
+    }
+
+    /// Every legacy fixture with its format version and a fresh build of
+    /// the snapshot it holds: v1 engine-less, v2 a clean 2-shard engine,
+    /// v3 the mutated sample, v4 the sample plus a durability section.
+    fn legacy_sources() -> Vec<(u32, &'static [u8], Snapshot)> {
+        let mut v1 = sample_snapshot();
+        v1.engine = None;
+        let mut v4 = sample_snapshot();
+        v4.durability = Some(sample_durability());
+        vec![
+            (FORMAT_V1, LEGACY_V1, v1),
+            (FORMAT_V2, LEGACY_V2, clean_engine_snapshot()),
+            (FORMAT_V3, LEGACY_V3, sample_snapshot()),
+            (FORMAT_V4, LEGACY_V4, v4),
+        ]
+    }
+
+    /// Answers as `(row, score bits)`, so comparisons are bit-exact.
+    fn bits(answers: &[sdq_core::ScoredPoint]) -> Vec<(usize, u64)> {
+        answers
+            .iter()
+            .map(|p| (p.id.index(), p.score.to_bits()))
+            .collect()
+    }
+
+    /// Asserts both snapshots hold the same artifacts and answer every
+    /// probe query bit-identically.
+    fn queries_match(a: &Snapshot, b: &Snapshot) {
+        assert_eq!(a.dataset, b.dataset);
+        assert_eq!(a.roles, b.roles);
+        assert_eq!(a.durability, b.durability);
+        assert_eq!(a.rstar.is_some(), b.rstar.is_some());
+        let roles = parse_roles("arr").unwrap();
+        for (point, k) in [
+            (vec![0.2, 3.0, 7.0], 5),
+            (vec![-1.0, 0.0, 12.0], 1),
+            (vec![0.5, 4.5, 9.0], 40),
+        ] {
+            let q = SdQuery::uniform_weights(point, &roles);
+            match (&a.sd, &b.sd) {
+                (Some(x), Some(y)) => {
+                    assert_eq!(
+                        bits(&x.query(&q, k).unwrap()),
+                        bits(&y.query(&q, k).unwrap())
+                    )
+                }
+                (x, y) => assert_eq!(x.is_some(), y.is_some()),
+            }
+            match (&a.engine, &b.engine) {
+                (Some(x), Some(y)) => {
+                    assert_eq!(x.tombstone_ids(), y.tombstone_ids());
+                    assert_eq!(x.delta_rows(), y.delta_rows());
+                    assert_eq!(
+                        bits(&x.query(&q, k).unwrap()),
+                        bits(&y.query(&q, k).unwrap())
+                    );
+                }
+                (x, y) => assert_eq!(x.is_some(), y.is_some()),
+            }
+        }
+        match (&a.topk, &b.topk) {
+            (Some(x), Some(y)) => assert_eq!(
+                bits(&x.query(1.0, 1.0, 1.0, 0.5, 2).unwrap()),
+                bits(&y.query(1.0, 1.0, 1.0, 0.5, 2).unwrap())
+            ),
+            (x, y) => assert_eq!(x.is_some(), y.is_some()),
+        }
+        match (&a.top1, &b.top1) {
+            (Some(x), Some(y)) => assert_eq!(x.query(0.0, 0.0), y.query(0.0, 0.0)),
+            (x, y) => assert_eq!(x.is_some(), y.is_some()),
+        }
     }
 
     #[test]
-    fn mutated_snapshot_is_version_3_and_compacted_drops_back_to_v2() {
-        let snap = sample_snapshot();
-        let bytes = snap.to_bytes();
-        assert_eq!(Snapshot::inspect_bytes(&bytes).unwrap().version, FORMAT_V3);
-        let mut back = Snapshot::from_bytes(&bytes).unwrap();
-        back.engine.as_mut().unwrap().compact().unwrap();
-        let compacted = back.to_bytes();
+    fn legacy_fixtures_load_bit_identical_and_upgrade_to_v5() {
+        let dir = std::env::temp_dir().join(format!("sdq-store-upgrade-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (version, bytes, fresh) in legacy_sources() {
+            assert_eq!(Snapshot::inspect_bytes(bytes).unwrap().version, version);
+            let loaded = Snapshot::from_bytes(bytes).unwrap();
+            queries_match(&loaded, &fresh);
+            // Any rewrite is v5 — the same file a fresh build writes.
+            let upgraded = loaded.to_bytes().unwrap();
+            assert_eq!(
+                Snapshot::inspect_bytes(&upgraded).unwrap().version,
+                FORMAT_V5
+            );
+            assert_eq!(upgraded, fresh.to_bytes().unwrap(), "v{version} upgrade");
+            let path = dir.join(format!("upgraded-v{version}.sdq"));
+            loaded.save(&path).unwrap();
+            let m = Snapshot::open_mapped(&path).unwrap();
+            assert_eq!(m.version(), FORMAT_V5);
+            queries_match(&m.snapshot, &fresh);
+            m.verify_all().unwrap();
+        }
+        // A compacted v3 engine also saves as v5 and answers like a fresh
+        // engine compacted the same way.
+        let mut loaded = Snapshot::from_bytes(LEGACY_V3).unwrap();
+        let mut fresh = sample_snapshot();
+        loaded.engine.as_mut().unwrap().compact().unwrap();
+        fresh.engine.as_mut().unwrap().compact().unwrap();
+        let compacted = loaded.to_bytes().unwrap();
         assert_eq!(
             Snapshot::inspect_bytes(&compacted).unwrap().version,
-            FORMAT_V2,
-            "compaction removes the need for v3"
+            FORMAT_V5
+        );
+        queries_match(&Snapshot::from_bytes(&compacted).unwrap(), &fresh);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn v5_bytes_are_pinned() {
+        // The v5 encoding of the sample snapshot is a checked-in file: any
+        // change to the on-disk format shows up here.
+        assert_eq!(sample_snapshot().to_bytes().unwrap(), SAMPLE_V5);
+        let back = Snapshot::from_bytes(SAMPLE_V5).unwrap();
+        queries_match(&back, &sample_snapshot());
+    }
+
+    #[test]
+    fn full_snapshot_roundtrips() {
+        let snap = sample_snapshot();
+        let bytes = snap.to_bytes().unwrap();
+        let back = Snapshot::from_bytes(&bytes).unwrap();
+        queries_match(&back, &snap);
+        let engine = back.engine.as_ref().unwrap();
+        assert_eq!(engine.shard_count(), 2);
+        // Mutation state survives the round trip: delta rows, tombstones
+        // and the answers that depend on both.
+        assert_eq!(engine.delta_rows(), 2);
+        assert_eq!(engine.tombstone_count(), 1);
+        // Deterministic bytes.
+        assert_eq!(back.to_bytes().unwrap(), bytes);
+    }
+
+    #[test]
+    fn clean_engine_matches_monolithic_and_stays_v2() {
+        assert_eq!(
+            Snapshot::inspect_bytes(LEGACY_V2).unwrap().version,
+            FORMAT_V2
+        );
+        let back = Snapshot::from_bytes(LEGACY_V2).unwrap();
+        let engine = back.engine.as_ref().unwrap();
+        assert!(!engine.has_mutations());
+        let sd = sample_sd();
+        let q = SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], sd.roles());
+        // A clean engine answers exactly like the monolithic index.
+        assert_eq!(
+            bits(&engine.query(&q, 5).unwrap()),
+            bits(&sd.query(&q, 5).unwrap())
         );
     }
 
@@ -1329,7 +1286,7 @@ mod tests {
         // load (the version is deliberately outside the table CRC; the
         // section gating is the defence).
         for old in [FORMAT_V1, FORMAT_V2] {
-            let mut bytes = sample_snapshot().to_bytes();
+            let mut bytes = LEGACY_V3.to_vec();
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             assert!(
                 matches!(
@@ -1343,42 +1300,43 @@ mod tests {
 
     #[test]
     fn engineless_snapshots_stay_version_1() {
-        let mut snap = sample_snapshot();
-        snap.engine = None;
-        let bytes = snap.to_bytes();
-        let info = Snapshot::inspect_bytes(&bytes).unwrap();
+        // An engine-less v1 file reads as v1 (this build never rewrites a
+        // file it only loads).
+        let info = Snapshot::inspect_bytes(LEGACY_V1).unwrap();
         assert_eq!(info.version, FORMAT_V1);
-        assert!(Snapshot::from_bytes(&bytes).unwrap().engine.is_none());
+        let back = Snapshot::from_bytes(LEGACY_V1).unwrap();
+        assert!(back.engine.is_none());
+        assert!(back.sd.is_some());
     }
 
     #[test]
     fn engine_sections_in_v1_are_rejected() {
-        // Downgrading the version byte of a v2 file must not silently load.
-        let mut bytes = sample_snapshot().to_bytes();
-        assert_eq!(Snapshot::inspect_bytes(&bytes).unwrap().version, FORMAT_V3);
-        bytes[8..12].copy_from_slice(&FORMAT_V1.to_le_bytes());
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
-            SdError::SnapshotCorrupt { .. }
-        ));
+        // Downgrading the version field of a v2/v3 file must not silently
+        // load.
+        for bytes in [LEGACY_V2, LEGACY_V3] {
+            let mut bytes = bytes.to_vec();
+            bytes[8..12].copy_from_slice(&FORMAT_V1.to_le_bytes());
+            assert!(matches!(
+                Snapshot::from_bytes(&bytes).unwrap_err(),
+                SdError::SnapshotCorrupt { .. }
+            ));
+        }
     }
 
     #[test]
     fn durability_section_bumps_to_v4_and_roundtrips() {
-        let mut snap = sample_snapshot();
-        snap.durability = Some(DurabilityInfo {
-            generation: 7,
-            checkpoint_epoch: 3,
-        });
-        let bytes = snap.to_bytes();
-        assert_eq!(Snapshot::inspect_bytes(&bytes).unwrap().version, FORMAT_V4);
-        let back = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(back.durability, snap.durability);
-        // Deterministic bytes survive the round trip.
-        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(
+            Snapshot::inspect_bytes(LEGACY_V4).unwrap().version,
+            FORMAT_V4
+        );
+        let back = Snapshot::from_bytes(LEGACY_V4).unwrap();
+        assert_eq!(back.durability, Some(sample_durability()));
+        // The durability section survives the upgrade to v5.
+        let upgraded = Snapshot::from_bytes(&back.to_bytes().unwrap()).unwrap();
+        assert_eq!(upgraded.durability, Some(sample_durability()));
         // Every flipped byte of a v4 file is still detected.
-        for pos in 0..bytes.len() {
-            let mut mutated = bytes.clone();
+        for pos in 0..LEGACY_V4.len() {
+            let mut mutated = LEGACY_V4.to_vec();
             mutated[pos] ^= 0x01;
             assert!(
                 Snapshot::from_bytes(&mutated).is_err(),
@@ -1389,12 +1347,7 @@ mod tests {
 
     #[test]
     fn durability_section_in_old_versions_is_rejected() {
-        let mut snap = Snapshot::new();
-        snap.durability = Some(DurabilityInfo {
-            generation: 1,
-            checkpoint_epoch: 0,
-        });
-        let mut bytes = snap.to_bytes();
+        let mut bytes = LEGACY_V4.to_vec();
         for old in [FORMAT_V1, FORMAT_V2, FORMAT_V3] {
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             assert!(
@@ -1409,14 +1362,14 @@ mod tests {
 
     #[test]
     fn empty_snapshot_roundtrips() {
-        let bytes = Snapshot::new().to_bytes();
+        let bytes = Snapshot::new().to_bytes().unwrap();
         let back = Snapshot::from_bytes(&bytes).unwrap();
         assert!(back.is_empty());
     }
 
     #[test]
     fn wrong_magic_is_typed() {
-        let mut bytes = sample_snapshot().to_bytes();
+        let mut bytes = sample_snapshot().to_bytes().unwrap();
         bytes[0] = b'X';
         assert!(matches!(
             Snapshot::from_bytes(&bytes).unwrap_err(),
@@ -1430,7 +1383,7 @@ mod tests {
 
     #[test]
     fn future_version_is_typed() {
-        let mut bytes = sample_snapshot().to_bytes();
+        let mut bytes = sample_snapshot().to_bytes().unwrap();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
             Snapshot::from_bytes(&bytes).unwrap_err(),
@@ -1443,9 +1396,8 @@ mod tests {
 
     #[test]
     fn every_flipped_byte_is_detected() {
-        let bytes = sample_snapshot().to_bytes();
-        for pos in 0..bytes.len() {
-            let mut mutated = bytes.clone();
+        for pos in 0..LEGACY_V3.len() {
+            let mut mutated = LEGACY_V3.to_vec();
             mutated[pos] ^= 0x01;
             let err = Snapshot::from_bytes(&mutated)
                 .err()
@@ -1468,20 +1420,21 @@ mod tests {
         // Bytes past the section table's accounted end are as suspect as
         // truncation (found by probing: `dd seek=<past-eof>` extended a
         // snapshot and the old parser silently ignored the tail).
-        let mut bytes = sample_snapshot().to_bytes();
-        bytes.extend_from_slice(b"tail");
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
-            SdError::SnapshotCorrupt { .. }
-        ));
+        for bytes in [LEGACY_V3, SAMPLE_V5] {
+            let mut bytes = bytes.to_vec();
+            bytes.extend_from_slice(b"tail");
+            assert!(matches!(
+                Snapshot::from_bytes(&bytes).unwrap_err(),
+                SdError::SnapshotCorrupt { .. }
+            ));
+        }
     }
 
     #[test]
     fn every_truncation_is_detected() {
-        let bytes = sample_snapshot().to_bytes();
-        for cut in 0..bytes.len() {
+        for cut in 0..LEGACY_V3.len() {
             assert!(
-                Snapshot::from_bytes(&bytes[..cut]).is_err(),
+                Snapshot::from_bytes(&LEGACY_V3[..cut]).is_err(),
                 "truncation to {cut} bytes went undetected"
             );
         }
@@ -1495,15 +1448,14 @@ mod tests {
         let snap = sample_snapshot();
         snap.save(&path).unwrap();
         let back = Snapshot::load(&path).unwrap();
-        assert_eq!(back.to_bytes(), snap.to_bytes());
+        assert_eq!(back.to_bytes().unwrap(), snap.to_bytes().unwrap());
 
         let info = Snapshot::inspect(&path).unwrap();
-        assert_eq!(info.version, FORMAT_V3);
+        assert_eq!(info.version, FORMAT_V5);
         // 6 classic sections + engine manifest + 2 shard sections + delta
         // + tombstones.
         assert_eq!(info.sections.len(), 11);
         assert!(info.sections.iter().all(|s| s.kind.is_some()));
-
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1526,47 +1478,15 @@ mod tests {
 
     // ── format v5 (zero-copy) ───────────────────────────────────────────
 
-    /// Asserts both snapshots answer identically across every artifact.
-    fn queries_match(a: &Snapshot, b: &Snapshot) {
-        let roles = b.roles.clone().unwrap();
-        let q = SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], &roles);
-        assert_eq!(
-            a.sd.as_ref().unwrap().query(&q, 5).unwrap(),
-            b.sd.as_ref().unwrap().query(&q, 5).unwrap()
-        );
-        assert_eq!(
-            a.topk
-                .as_ref()
-                .unwrap()
-                .query(1.0, 1.0, 1.0, 0.5, 2)
-                .unwrap(),
-            b.topk
-                .as_ref()
-                .unwrap()
-                .query(1.0, 1.0, 1.0, 0.5, 2)
-                .unwrap()
-        );
-        assert_eq!(
-            a.top1.as_ref().unwrap().query(0.0, 0.0),
-            b.top1.as_ref().unwrap().query(0.0, 0.0)
-        );
-        assert_eq!(
-            a.engine.as_ref().unwrap().query(&q, 5).unwrap(),
-            b.engine.as_ref().unwrap().query(&q, 5).unwrap()
-        );
-    }
-
     #[test]
     fn v5_roundtrips_owned() {
         let snap = sample_snapshot();
-        let bytes = snap.to_bytes_v5().unwrap();
+        let bytes = snap.to_bytes().unwrap();
         let back = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(back.source_version, Some(FORMAT_V5));
-        assert_eq!(back.preferred_format(), SnapshotFormat::V5);
         // Owned decode verifies everything eagerly; nothing stays mapped.
         assert!(!back.sd.as_ref().unwrap().is_mapped());
         queries_match(&back, &snap);
-        assert_eq!(back.to_bytes_v5().unwrap(), bytes, "nondeterministic");
+        assert_eq!(back.to_bytes().unwrap(), bytes, "nondeterministic");
         // Layout discipline: 64-aligned payloads, table CRCs zero.
         let info = Snapshot::inspect_bytes(&bytes).unwrap();
         assert_eq!(info.version, FORMAT_V5);
@@ -1580,7 +1500,7 @@ mod tests {
     #[test]
     fn v5_roundtrips_zero_copy() {
         let snap = sample_snapshot();
-        let bytes = snap.to_bytes_v5().unwrap();
+        let bytes = snap.to_bytes().unwrap();
         let m = Snapshot::from_mapped(MappedBytes::copy_from(&bytes)).unwrap();
         assert_eq!(m.version(), FORMAT_V5);
         assert!(!m.regions().is_empty());
@@ -1588,13 +1508,13 @@ mod tests {
         queries_match(&m.snapshot, &snap);
         m.verify_all().unwrap();
         // A mapped snapshot re-encodes to the identical file.
-        assert_eq!(m.snapshot.to_bytes_v5().unwrap(), bytes);
+        assert_eq!(m.snapshot.to_bytes().unwrap(), bytes);
     }
 
     #[test]
     fn v5_crc_state_is_lazy_until_touched() {
         let snap = sample_snapshot();
-        let bytes = snap.to_bytes_v5().unwrap();
+        let bytes = snap.to_bytes().unwrap();
         let m = Snapshot::from_mapped(MappedBytes::copy_from(&bytes)).unwrap();
         assert!(
             m.regions().iter().any(|r| r.state() == CrcState::Lazy),
@@ -1609,7 +1529,7 @@ mod tests {
 
     #[test]
     fn v5_every_flipped_byte_is_detected() {
-        let bytes = sample_snapshot().to_bytes_v5().unwrap();
+        let bytes = sample_snapshot().to_bytes().unwrap();
         for pos in 0..bytes.len() {
             let mut mutated = bytes.clone();
             mutated[pos] ^= 0x01;
@@ -1651,7 +1571,7 @@ mod tests {
 
     #[test]
     fn v5_every_truncation_is_detected() {
-        let bytes = sample_snapshot().to_bytes_v5().unwrap();
+        let bytes = sample_snapshot().to_bytes().unwrap();
         for cut in 0..bytes.len() {
             assert!(
                 Snapshot::from_bytes(&bytes[..cut]).is_err(),
@@ -1668,7 +1588,7 @@ mod tests {
     fn v5_rejects_misaligned_section() {
         // Shift section 0's payload offset off the 64-byte grid (fixing up
         // the table CRC so only the alignment rule is violated).
-        let mut bytes = sample_snapshot().to_bytes_v5().unwrap();
+        let mut bytes = sample_snapshot().to_bytes().unwrap();
         let n = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
         let off_at = 16 + 8;
         let old = u64::from_le_bytes(bytes[off_at..off_at + 8].try_into().unwrap());
@@ -1691,20 +1611,19 @@ mod tests {
 
     #[test]
     fn open_mapped_reads_legacy_files() {
-        let snap = sample_snapshot();
-        let bytes = snap.to_bytes();
-        let m = Snapshot::from_mapped(MappedBytes::copy_from(&bytes)).unwrap();
-        assert_eq!(m.version(), FORMAT_V3);
-        assert!(m.regions().is_empty());
-        m.verify_all().unwrap();
-        assert_eq!(m.snapshot.preferred_format(), SnapshotFormat::Legacy);
-        queries_match(&m.snapshot, &snap);
+        for (version, bytes, fresh) in legacy_sources() {
+            let m = Snapshot::from_mapped(MappedBytes::copy_from(bytes)).unwrap();
+            assert_eq!(m.version(), version);
+            assert!(m.regions().is_empty());
+            m.verify_all().unwrap();
+            queries_match(&m.snapshot, &fresh);
+        }
     }
 
     #[test]
     fn mapped_engine_accepts_mutations() {
         let snap = sample_snapshot();
-        let bytes = snap.to_bytes_v5().unwrap();
+        let bytes = snap.to_bytes().unwrap();
         let mut m = Snapshot::from_mapped(MappedBytes::copy_from(&bytes)).unwrap();
         let mut owned = Snapshot::from_bytes(&bytes).unwrap();
         let roles = snap.roles.clone().unwrap();
@@ -1718,9 +1637,8 @@ mod tests {
             m.snapshot.engine.as_ref().unwrap().query(&q, 6).unwrap(),
             owned.engine.as_ref().unwrap().query(&q, 6).unwrap()
         );
-        // The mutated mapped snapshot saves as v5 and reloads.
-        assert_eq!(m.snapshot.preferred_format(), SnapshotFormat::V5);
-        let rebytes = m.snapshot.to_bytes_v5().unwrap();
+        // The mutated mapped snapshot saves (as v5) and reloads.
+        let rebytes = m.snapshot.to_bytes().unwrap();
         let back = Snapshot::from_bytes(&rebytes).unwrap();
         assert_eq!(
             back.engine.as_ref().unwrap().query(&q, 6).unwrap(),
@@ -1740,7 +1658,7 @@ mod tests {
     #[test]
     fn mapped_topk_materializes_on_mutation() {
         let snap = sample_snapshot();
-        let bytes = snap.to_bytes_v5().unwrap();
+        let bytes = snap.to_bytes().unwrap();
         let mut m = Snapshot::from_mapped(MappedBytes::copy_from(&bytes)).unwrap();
         let mut owned = Snapshot::from_bytes(&bytes).unwrap();
         for t in [
@@ -1768,7 +1686,7 @@ mod tests {
 
     #[test]
     fn v5_empty_roundtrip() {
-        let bytes = Snapshot::new().to_bytes_v5().unwrap();
+        let bytes = Snapshot::new().to_bytes().unwrap();
         assert!(Snapshot::from_bytes(&bytes).unwrap().is_empty());
         let m = Snapshot::from_mapped(MappedBytes::copy_from(&bytes)).unwrap();
         assert!(m.snapshot.is_empty());
@@ -1781,7 +1699,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample-v5.sdq");
         let snap = sample_snapshot();
-        snap.save_v5(&path).unwrap();
+        // `save` always writes format v5.
+        snap.save(&path).unwrap();
         let m = Snapshot::open_mapped(&path).unwrap();
         assert!(m.is_mapped(), "a real file should arrive via mmap");
         assert_eq!(m.version(), FORMAT_V5);

@@ -195,7 +195,7 @@ proptest! {
 
         let mut snap = Snapshot::new();
         snap.engine = Some(engine.clone());
-        let bytes = snap.to_bytes();
+        let bytes = snap.to_bytes().unwrap();
         let back = Snapshot::from_bytes(&bytes).unwrap();
         let restored = back.engine.as_ref().unwrap();
         prop_assert_eq!(restored.shard_count(), engine.shard_count());
@@ -209,23 +209,28 @@ proptest! {
             assert_bit_identical("snapshot-restored engine", &got, &want)?;
         }
         // Deterministic bytes.
-        prop_assert_eq!(back.to_bytes(), bytes);
+        prop_assert_eq!(back.to_bytes().unwrap(), bytes);
     }
 }
 
-/// Engine-less snapshots keep writing format v1, so files produced by this
-/// build remain readable by pre-engine readers.
+/// An engine-less format-v1 file (written by an older build; this build
+/// writes only v5) still reads as v1 with its monolithic index and no
+/// engine, and answers like a fresh build of the same rows.
 #[test]
 fn engineless_snapshot_stays_v1() {
-    let data = Dataset::from_rows(2, &[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-    let roles = vec![DimRole::Attractive, DimRole::Repulsive];
-    let mut snap = Snapshot::new();
-    snap.sd = Some(SdIndex::build(data, &roles).unwrap());
-    snap.roles = Some(roles);
-    let bytes = snap.to_bytes();
-    let info = Snapshot::inspect_bytes(&bytes).unwrap();
+    let bytes = include_bytes!("../crates/store/tests/fixtures/legacy_v1.bin");
+    let info = Snapshot::inspect_bytes(bytes).unwrap();
     assert_eq!(info.version, FORMAT_V1);
-    let back = Snapshot::from_bytes(&bytes).unwrap();
+    let back = Snapshot::from_bytes(bytes).unwrap();
     assert!(back.engine.is_none());
-    assert!(back.sd.is_some());
+    let sd = back.sd.as_ref().unwrap();
+    let roles = back.roles.as_ref().unwrap();
+    let fresh = SdIndex::build(back.dataset.clone().unwrap(), roles).unwrap();
+    let q = SdQuery::uniform_weights(vec![0.2, 3.0, 7.0], roles);
+    assert_bit_identical(
+        "v1 fixture",
+        &sd.query(&q, 5).unwrap(),
+        &fresh.query(&q, 5).unwrap(),
+    )
+    .unwrap();
 }

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sdq::store::{Snapshot, SnapshotFormat};
+use sdq::store::Snapshot;
 use sdq::{Dataset, DimRole, PointId, SdQuery};
 
 const DIMS: usize = 3;
@@ -117,14 +117,13 @@ proptest! {
         snap.roles = Some(ROLES.to_vec());
         snap.engine = Some(engine);
         let path = case_path();
-        snap.save_v5(&path).unwrap();
+        snap.save(&path).unwrap();
 
         // Two replicas of the same file: borrowed bytes vs eager decode.
         let mapped = Snapshot::open_mapped(&path).unwrap();
         prop_assert!(mapped.is_mapped());
         let mut mapped_snap = mapped.snapshot;
         let mut owned_snap = Snapshot::load(&path).unwrap();
-        prop_assert_eq!(mapped_snap.preferred_format(), SnapshotFormat::V5);
 
         let mut live: Vec<u32> = (0..rows.len() as u32).collect();
         let mut next_id = rows.len() as u32;
@@ -183,8 +182,8 @@ proptest! {
         // replicas re-serialise to the byte-identical v5 container.
         mapped_snap.verify_integrity().unwrap();
         prop_assert_eq!(
-            mapped_snap.to_bytes_v5().unwrap(),
-            owned_snap.to_bytes_v5().unwrap()
+            mapped_snap.to_bytes().unwrap(),
+            owned_snap.to_bytes().unwrap()
         );
 
         std::fs::remove_file(&path).ok();
@@ -215,7 +214,7 @@ fn mapped_regions_verify_on_demand() {
     snap.roles = Some(ROLES.to_vec());
     snap.engine = Some(engine);
     let path = case_path();
-    snap.save_v5(&path).unwrap();
+    snap.save(&path).unwrap();
 
     let mapped = Snapshot::open_mapped(&path).unwrap();
     assert!(mapped.is_mapped());

@@ -56,7 +56,7 @@ proptest! {
         let index = TopKIndex::build(&pts).unwrap();
         let mut snap = Snapshot::new();
         snap.topk = Some(index.clone());
-        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let back = Snapshot::from_bytes(&snap.to_bytes().unwrap()).unwrap();
         let restored = back.topk.unwrap();
         // Bit-identical results: same ids, same score bits.
         prop_assert_eq!(
@@ -76,7 +76,7 @@ proptest! {
         let index = Top1Index::build(&pts, alpha, beta, k).unwrap();
         let mut snap = Snapshot::new();
         snap.top1 = Some(index.clone());
-        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let back = Snapshot::from_bytes(&snap.to_bytes().unwrap()).unwrap();
         let restored = back.top1.unwrap();
         for (qx, qy) in queries {
             prop_assert_eq!(restored.query(qx, qy), index.query(qx, qy));
@@ -98,7 +98,7 @@ proptest! {
         let index = SdIndex::build(data, &roles).unwrap();
         let mut snap = Snapshot::new();
         snap.sd = Some(index.clone());
-        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let back = Snapshot::from_bytes(&snap.to_bytes().unwrap()).unwrap();
         let restored = back.sd.unwrap();
         let query = SdQuery::new(q, w).unwrap();
         prop_assert_eq!(
@@ -117,7 +117,7 @@ proptest! {
         let mut snap = Snapshot::new();
         snap.topk = Some(TopKIndex::build(&pts).unwrap());
         snap.top1 = Some(Top1Index::build(&pts, 1.0, 1.0, 2).unwrap());
-        let bytes = snap.to_bytes();
+        let bytes = snap.to_bytes().unwrap();
 
         // Any single-bit flip must be detected (magic, version, checksum or
         // structural validation), with a typed error.
@@ -138,7 +138,7 @@ proptest! {
 fn wrong_magic_and_future_version_are_typed() {
     let mut snap = Snapshot::new();
     snap.dataset = Some(Dataset::from_rows(2, &[vec![1.0, 2.0]]).unwrap());
-    let bytes = snap.to_bytes();
+    let bytes = snap.to_bytes().unwrap();
     assert_eq!(&bytes[..8], &MAGIC);
 
     let mut wrong = bytes.clone();
