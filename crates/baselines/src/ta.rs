@@ -83,9 +83,6 @@ impl TaIndex {
                 got: query.dims(),
             });
         }
-        if self.data.is_empty() {
-            return Ok(&[]);
-        }
         let mut streams = scratch.stream_buf();
         streams.reserve(self.columns.len());
         for (d, col) in self.columns.iter().enumerate() {
@@ -171,6 +168,26 @@ mod tests {
         let ta = TaIndex::build(data, &roles).unwrap();
         let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
         assert!(ta.query(&q, 3).unwrap().is_empty());
+    }
+
+    #[test]
+    fn empty_dataset_clears_reused_scratch() {
+        // An empty index must not hand back the previous query's answers
+        // or counters from a reused scratch.
+        let roles = [DimRole::Repulsive, DimRole::Attractive];
+        let full = TaIndex::build(
+            Dataset::from_rows(2, &[vec![0.0, 1.0], vec![2.0, 0.5], vec![1.0, 1.0]]).unwrap(),
+            &roles,
+        )
+        .unwrap();
+        let empty = TaIndex::build(Dataset::from_flat(2, vec![]).unwrap(), &roles).unwrap();
+        let q = SdQuery::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
+        let mut scratch = QueryScratch::new();
+        assert_eq!(full.query_with(&q, 2, &mut scratch).unwrap().len(), 2);
+        assert_eq!(scratch.profile.emitted, 2);
+        assert!(empty.query_with(&q, 2, &mut scratch).unwrap().is_empty());
+        assert!(scratch.answers().is_empty());
+        assert_eq!(scratch.profile.emitted, 0);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! * [`top1`] — the §3 region index for fixed `k`, `α`, `β` (O(log n) query),
 //! * [`topk`] — the §4 projection-bound tree for runtime `k`, `α`, `β`,
 //! * [`multidim`] — the §5 pairing + threshold aggregation for any number of
-//!   dimensions, with a per-pair cost-based [`planner`](multidim::plan) and a
-//!   resumable [`ShardExecution`](multidim::ShardExecution) for the sharded
-//!   engine,
+//!   dimensions, with a per-pair cost-based [`planner`](multidim::plan); one
+//!   resumable driver, [`ShardExecution`](multidim::ShardExecution), runs
+//!   every aggregation — sliced across shards by the sharded engine, to
+//!   completion in one step for the monolithic index and the TA baseline,
 //! * [`threshold`] — the atomic cross-shard k-th-score floor
 //!   ([`SharedThreshold`]),
 //! * [`mask`] — tombstone bitmaps ([`RowMask`]) whose dead rows are dropped

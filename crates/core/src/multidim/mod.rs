@@ -15,10 +15,17 @@
 //! ## Execution model
 //!
 //! Subproblems are one closed [`Subproblem`] enum rather than trait
-//! objects, so the `bound()`/`next()` calls in the aggregation inner loop
-//! are direct (inlinable) dispatches — no vtable in the hot path. All
-//! query-time buffers come from a [`QueryScratch`]; the allocating
-//! [`SdIndex::query`] is a thin wrapper over [`SdIndex::query_with`].
+//! objects, so the per-round `bound()`/fetch calls in the aggregation
+//! inner loop are direct (inlinable) dispatches — no vtable in the hot
+//! path. All query-time buffers come from a [`QueryScratch`]; the
+//! allocating [`SdIndex::query`] is a thin wrapper over
+//! [`SdIndex::query_with`].
+//!
+//! One driver runs the aggregation: a [`ShardExecution`]. The sharded
+//! engine advances one per shard in interleaved slices
+//! ([`SdIndex::begin_query`]); every other caller — the monolithic
+//! [`SdIndex::query_masked`] and the TA baseline — runs one to completion
+//! in a single step through [`threshold_aggregate`].
 //!
 //! Which physical stream serves a pair is decided per query by the cost
 //! model in [`plan`] (tree frontier at an indexed angle, Claim 6 bracketed
@@ -56,18 +63,20 @@ use crate::score::rank_cmp;
 use crate::scratch::{QueryScratch, StampSet};
 use crate::threshold::{track_floor, SharedThreshold};
 use crate::topk::blocks::{BlockFrontier, BlockSet};
-use crate::topk::stream::{inflate, FastSet, PairFrontier};
+use crate::topk::stream::inflate;
 use crate::topk::{arbitrary, default_angles, TopKIndex};
 use crate::types::{Dataset, OrdF64, PointId, ScoredPoint, SdError};
 use crate::{DimRole, SdQuery};
 
-/// The behavioural contract of one §5 subproblem: emits `(row, subscore)`
+/// The behavioural contract of a 1-D §5 subproblem stream
+/// ([`AttractiveStream`], [`RepulsiveStream`]): emits `(row, subscore)`
 /// pairs in non-increasing subscore order and bounds everything not yet
 /// emitted.
 ///
 /// The aggregation loop itself runs over the closed [`Subproblem`] enum
-/// (static dispatch); the trait documents the contract, backs the
-/// stream-level tests and stays implemented by every concrete stream.
+/// (static dispatch) and fetches 2-D pairs a whole leaf block at a time,
+/// so the trait covers the 1-D streams only; it documents their contract
+/// and backs the stream-level tests.
 pub trait SubproblemStream {
     /// Admissible upper bound on the subscore of every row this stream has
     /// not yet emitted; `None` once the stream is drained (at which point
@@ -122,19 +131,6 @@ impl<'a> Subproblem<'a> {
         }
     }
 
-    /// See [`SubproblemStream::next`]. (Deliberately named like
-    /// `Iterator::next`; an `Iterator` impl would hide the `bound()`
-    /// coupling callers rely on.)
-    #[inline]
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<(u32, f64)> {
-        match self {
-            Subproblem::Pair2d(s) => s.next(),
-            Subproblem::Attractive1d(s) => s.next(),
-            Subproblem::Repulsive1d(s) => s.next(),
-        }
-    }
-
     /// Returns any owned buffers to the scratch for reuse.
     fn recycle(self, scratch: &mut QueryScratch) {
         if let Subproblem::Pair2d(s) = self {
@@ -144,9 +140,9 @@ impl<'a> Subproblem<'a> {
 
     /// Fetches this stream's next *emission unit* into `out`:
     ///
-    /// * 1-D and per-point streams append one row (exactly like
-    ///   [`Subproblem::next`]);
-    /// * a block-backed 2-D stream appends every live row of its next
+    /// * 1-D streams append their next row in subscore order, and the
+    ///   degenerate all-zero-weight enumerator its next row id;
+    /// * a 2-D stream appends every live row of its next
     ///   surviving SoA leaf block (up to [`LANES`] at once), after
     ///   block-level floor pruning: with `prune = Some((f, others))` —
     ///   `f` the current k-th-score floor and `others` the sum of every
@@ -184,24 +180,6 @@ impl<'a> Subproblem<'a> {
                 None => false,
             },
         }
-    }
-
-    /// Flushes any walk counters still buffered inside the stream's
-    /// frontier into `prof` (called once per aggregation slice, so pops
-    /// performed by `bound()` staging are not lost).
-    fn flush_profile(&mut self, prof: &mut QueryProfile) {
-        if let Subproblem::Pair2d(s) = self {
-            s.flush_profile(prof);
-        }
-    }
-}
-
-impl SubproblemStream for Subproblem<'_> {
-    fn bound(&self) -> Option<f64> {
-        Subproblem::bound(self)
-    }
-    fn next(&mut self) -> Option<(u32, f64)> {
-        Subproblem::next(self)
     }
 }
 
@@ -410,9 +388,10 @@ impl SdIndex {
     }
 
     /// Aggregate SoA leaf-block statistics across the per-pair trees:
-    /// `(blocks, resident bytes, stale trees)` — a tree is *stale* when a
-    /// point-level mutation dropped its derived block layout (its queries
-    /// fall back to the per-point frontier until the next rebuild).
+    /// `(blocks, resident bytes, stale trees)` — a tree is *stale* when it
+    /// has no block layout. Pair trees are never mutated point-wise, so
+    /// only the trees of an empty index are stale; a query over any other
+    /// stale tree fails with [`SdError::SnapshotCorrupt`].
     pub fn block_stats(&self) -> (usize, usize, usize) {
         let (mut blocks, mut bytes, mut stale) = (0, 0, 0);
         for tree in &self.pair_indexes {
@@ -585,20 +564,15 @@ impl SdIndex {
             });
         }
         self.ensure_query_integrity()?;
-        let n = self.data.len();
-        if n == 0 {
-            scratch.profile.reset();
-            scratch.answers.clear();
-            return Ok(&scratch.answers);
-        }
 
         // Direct strategy: a single-pair query is one certified 2-D search
         // over the pair's tree (indexed-angle or Claim 6 bracketed
         // frontier) — no aggregation machinery at all. Masked executions
-        // always aggregate (the mask hook lives there). The direct search
-        // bypasses the instrumented aggregation loop, so its profile only
-        // reports emission count, ISA and wall time.
-        if mask.is_none() {
+        // always aggregate (the mask hook lives there), and so does an
+        // empty index. The direct search bypasses the instrumented
+        // aggregation loop, so its profile only reports emission count,
+        // ISA and wall time.
+        if mask.is_none() && !self.data.is_empty() {
             if let Some((alpha, beta, qx, qy)) = self.direct_pair(query) {
                 scratch.profile.reset();
                 let t0 = scratch.profile.timing.then(std::time::Instant::now);
@@ -664,47 +638,16 @@ impl SdIndex {
             });
         }
         self.ensure_query_integrity()?;
-        let n = self.data.len();
-        let streams = if n == 0 {
-            scratch.stream_buf()
-        } else {
-            self.assemble_streams(query, k, scratch)?
-        };
-        let live = n - mask.map_or(0, |m| m.dead_among(n));
-        let k_eff = k.min(live);
-        let mut pool = std::mem::take(&mut scratch.pool);
-        pool.clear();
-        pool.reserve(k_eff + streams.len());
-        let mut seen = std::mem::take(&mut scratch.seen);
-        seen.begin(n);
-        let mut answers = std::mem::take(&mut scratch.answers);
-        answers.clear();
-        answers.reserve(k_eff);
-        let mut floor = std::mem::take(&mut scratch.floor);
-        floor.clear();
-        let mut batch = std::mem::take(&mut scratch.rows);
-        batch.clear();
-        scratch.profile.reset();
-        Ok(ShardExecution {
-            data: self.data.as_ref(),
-            roles: &self.roles,
+        let streams = self.assemble_streams(query, k, scratch)?;
+        Ok(ShardExecution::start(
+            &self.data,
+            &self.roles,
             query,
-            k_eff,
-            publish: k_eff == k,
+            k,
             streams,
+            scratch,
             mask,
-            pool,
-            seen,
-            answers,
-            floor,
-            batch,
-            gather: std::mem::take(&mut scratch.gather),
-            scores: std::mem::take(&mut scratch.scores),
-            fbuf: std::mem::take(&mut scratch.fbuf),
-            profile: scratch.profile,
-            deadline: scratch.deadline.clone(),
-            done: n == 0,
-        })
+        ))
     }
 
     /// The effective build options of this index, recovered from its
@@ -727,7 +670,8 @@ impl SdIndex {
     /// Assembles the subproblem streams for one query into the scratch's
     /// recycled buffer, one planner decision per pair. Zero-weight streams
     /// contribute neither bounds nor useful candidates and are dropped
-    /// outright.
+    /// outright. An empty index gets no streams: its execution is complete
+    /// from the start.
     fn assemble_streams<'i>(
         &'i self,
         query: &SdQuery,
@@ -736,6 +680,9 @@ impl SdIndex {
     ) -> Result<Vec<Subproblem<'i>>, SdError> {
         let n = self.data.len();
         let mut streams = scratch.stream_buf();
+        if n == 0 {
+            return Ok(streams);
+        }
         streams.reserve(2 * self.pairs.len() + self.unpaired.len());
         for (pi, (pair, index)) in self.pairs.iter().zip(&self.pair_indexes).enumerate() {
             let alpha = query.weights[pair.repulsive];
@@ -762,11 +709,11 @@ impl SdIndex {
                     }
                 }
                 PairAction::Frontier | PairAction::Bracketed => {
-                    match Pair2DStream::with_scratch(index, qx, qy, alpha, beta, n, scratch) {
+                    match Pair2DStream::with_scratch(index, qx, qy, alpha, beta, scratch) {
                         Ok(s) => streams.push(Subproblem::Pair2d(s)),
                         Err(e) => {
                             // Hand every buffer back before propagating.
-                            for s in streams.drain(..) {
+                            for s in streams.drain(..).rev() {
                                 s.recycle(scratch);
                             }
                             scratch.put_streams(streams);
@@ -815,48 +762,62 @@ impl SdIndex {
         k: usize,
         threads: usize,
     ) -> Result<Vec<Vec<ScoredPoint>>, SdError> {
-        let threads = resolve_threads(threads).min(resolve_threads(0));
-        if threads <= 1 || queries.len() <= 1 {
-            let mut scratch = QueryScratch::new();
-            return queries
-                .iter()
-                .map(|q| self.query_with(q, k, &mut scratch).map(<[_]>::to_vec))
-                .collect();
-        }
-        let n_workers = threads.min(queries.len());
-        type Bucket = Vec<(usize, Result<Vec<ScoredPoint>, SdError>)>;
-        let buckets: Vec<Bucket> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        // One scratch per worker: allocate once per batch,
-                        // not once per query.
-                        let mut scratch = QueryScratch::new();
-                        queries
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(n_workers)
-                            .map(|(i, q)| {
-                                (i, self.query_with(q, k, &mut scratch).map(<[_]>::to_vec))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("query worker panicked"))
-                .collect()
-        });
-        let mut out: Vec<Vec<ScoredPoint>> = vec![Vec::new(); queries.len()];
-        for bucket in buckets {
-            for (i, r) in bucket {
-                out[i] = r?;
-            }
-        }
-        Ok(out)
+        par_batch(queries, threads, QueryScratch::new, |q, scratch| {
+            self.query_with(q, k, scratch).map(<[_]>::to_vec)
+        })
     }
+}
+
+/// The batch fan-out behind every `par_query_batch`: answers `queries`
+/// with up to `threads` scoped workers (`0` = auto; explicit counts are
+/// clamped to [`resolve_threads`]`(0)`), each owning one scratch from
+/// `new_scratch` for its whole round-robin slice of the batch. Results keep
+/// the input order, and since `run` sees the queries of one worker in
+/// input order, a deterministic `run` answers bit-identically to a serial
+/// loop. With one effective worker (or at most one query) the batch runs
+/// serially on the calling thread. The first error in input order wins.
+pub fn par_batch<S, R>(
+    queries: &[SdQuery],
+    threads: usize,
+    new_scratch: impl Fn() -> S + Sync,
+    run: impl Fn(&SdQuery, &mut S) -> Result<R, SdError> + Sync,
+) -> Result<Vec<R>, SdError>
+where
+    R: Send,
+{
+    let threads = resolve_threads(threads).min(resolve_threads(0));
+    if threads <= 1 || queries.len() <= 1 {
+        let mut scratch = new_scratch();
+        return queries.iter().map(|q| run(q, &mut scratch)).collect();
+    }
+    let n_workers = threads.min(queries.len());
+    let (new_scratch, run) = (&new_scratch, &run);
+    let buckets: Vec<Vec<Result<R, SdError>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n_workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    // One scratch per worker: allocate once per batch, not
+                    // once per query.
+                    let mut scratch = new_scratch();
+                    queries
+                        .iter()
+                        .skip(w)
+                        .step_by(n_workers)
+                        .map(|q| run(q, &mut scratch))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("query worker panicked"))
+            .collect()
+    });
+    // Query `i` is entry `i / n_workers` of bucket `i % n_workers`.
+    let mut buckets: Vec<_> = buckets.into_iter().map(Vec::into_iter).collect();
+    (0..queries.len())
+        .map(|i| buckets[i % n_workers].next().expect("one result per query"))
+        .collect()
 }
 
 /// Resolves a worker-count argument: `0` means auto — the host's available
@@ -886,96 +847,6 @@ pub(crate) fn build_pair_columns(
             )
         })
         .collect()
-}
-
-/// The §5 aggregation loop, shared with the adapted-TA baseline (which uses
-/// one 1-D stream per dimension — precisely the configuration this
-/// degenerates to with zero pairs, as Fig. 7i–j observes).
-///
-/// Exact and **canonical**: a candidate is emitted only when its exact full
-/// score is strictly above the (FP-inflated) threshold `τ = Σ` stream
-/// bounds, so score ties always resolve through the pool's
-/// `(score, Reverse(row))` order — smallest row first — independent of
-/// stream fetch order. Two further stop rules terminate early without
-/// breaking canonicity (see [`query_frontier_with`] for the argument):
-/// the locally tracked k-th-best seen score, and the optional cross-shard
-/// [`SharedThreshold`] floor.
-///
-/// [`query_frontier_with`]: crate::topk::arbitrary::query_frontier_with
-#[allow(clippy::too_many_arguments)] // internal: one call site per mode
-fn aggregate_into(
-    data: &Dataset,
-    roles: &[DimRole],
-    query: &SdQuery,
-    k: usize,
-    streams: &mut [Subproblem<'_>],
-    scratch: &mut QueryScratch,
-    shared: Option<&SharedThreshold>,
-    mask: Option<MaskView<'_>>,
-) -> Result<(), SdError> {
-    let QueryScratch {
-        pool,
-        seen,
-        answers,
-        floor,
-        rows,
-        gather,
-        scores,
-        fbuf,
-        profile,
-        deadline,
-        ..
-    } = &mut *scratch;
-    profile.reset();
-    let t0 = profile.timing.then(std::time::Instant::now);
-    pool.clear();
-    answers.clear();
-    floor.clear();
-    let n = data.len();
-    seen.begin(n);
-    let live = n - mask.map_or(0, |m| m.dead_among(n));
-    let k_eff = k.min(live);
-    // A floor over fewer than k real points cannot bound the global k-th
-    // score, so shards smaller than k (counting live rows) never publish.
-    let publish = k_eff == k;
-    // Pre-size: the pool holds at most one candidate per fetch round per
-    // stream beyond the k answers still wanted.
-    answers.reserve(k_eff);
-    pool.reserve(k_eff + streams.len());
-
-    let done = aggregate_rounds(
-        data,
-        roles,
-        query,
-        k_eff,
-        publish,
-        streams,
-        mask,
-        pool,
-        seen,
-        answers,
-        floor,
-        shared,
-        usize::MAX,
-        &mut |_| {},
-        rows,
-        gather,
-        scores,
-        fbuf,
-        profile,
-        deadline,
-    )?;
-    debug_assert!(done, "unbounded aggregation must complete");
-    answers.sort_unstable_by(rank_cmp);
-    for s in streams.iter_mut() {
-        s.flush_profile(profile);
-    }
-    profile.floor_value = floor.peek().map_or(f64::NEG_INFINITY, |r| r.0 .0);
-    profile.emitted = answers.len() as u64;
-    if let Some(t0) = t0 {
-        profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
-    }
-    Ok(())
 }
 
 /// Scores one round's fetched rows — deduplicated, tombstone-masked, then
@@ -1086,9 +957,17 @@ fn score_rows_batched<F: FnMut(f64)>(
 
 /// Runs up to `rounds` iterations of the aggregation loop over
 /// caller-owned state; returns `true` once the query is complete (the
-/// answer buffer holds the canonical top `k_eff`, unsorted). The single
-/// implementation behind [`aggregate_into`] (run to completion) and
-/// [`ShardExecution::step`] (interleaved shard execution).
+/// answer buffer holds the canonical top `k_eff`, unsorted). Its one
+/// caller is [`ShardExecution::step`].
+///
+/// Exact and **canonical**: a candidate is emitted only when its exact full
+/// score is strictly above the (FP-inflated) threshold `τ = Σ` stream
+/// bounds, so score ties always resolve through the pool's
+/// `(score, Reverse(row))` order — smallest row first — independent of
+/// stream fetch order. Two further stop rules terminate early without
+/// breaking canonicity (see [`query_frontier_with`] for the argument):
+/// the locally tracked k-th-best seen score, and the optional cross-shard
+/// [`SharedThreshold`] floor.
 ///
 /// One iteration fetches one *emission unit* per subproblem — a single row
 /// for 1-D streams, a whole SoA leaf block for block-backed 2-D streams —
@@ -1106,7 +985,9 @@ fn score_rows_batched<F: FnMut(f64)>(
 /// one inlined branch when unset — and aborts the aggregation with the
 /// typed deadline/cancel error; the answer buffer keeps the certified
 /// partial prefix emitted so far.
-#[allow(clippy::too_many_arguments)] // internal: one call site per mode
+///
+/// [`query_frontier_with`]: crate::topk::arbitrary::query_frontier_with
+#[allow(clippy::too_many_arguments)] // internal: one call site
 fn aggregate_rounds<F: FnMut(f64)>(
     data: &Dataset,
     roles: &[DimRole],
@@ -1242,12 +1123,13 @@ fn aggregate_rounds<F: FnMut(f64)>(
 }
 
 /// A suspended, resumable execution of one index's §5 aggregation — the
-/// unit the sharded engine schedules. Obtain one with
-/// [`SdIndex::begin_query`], advance it in slices with
-/// [`ShardExecution::step`] (interleaving slices of *other* shards'
-/// executions in between, so the cross-shard floor converges while every
-/// shard is still early in its descent), and recover the canonical answer
-/// with [`ShardExecution::finish_into`].
+/// one driver of the aggregation loop, and the unit the sharded engine
+/// schedules. Obtain one with [`SdIndex::begin_query`], advance it in
+/// slices with [`ShardExecution::step`] (interleaving slices of *other*
+/// shards' executions in between, so the cross-shard floor converges while
+/// every shard is still early in its descent), and recover the canonical
+/// answer with [`ShardExecution::finish_into`]. [`threshold_aggregate`]
+/// runs one to completion in a single step.
 ///
 /// All mutable state is owned (taken out of a [`QueryScratch`] at start,
 /// returned at finish), so any number of executions can be in flight at
@@ -1274,6 +1156,62 @@ pub struct ShardExecution<'i> {
 }
 
 impl<'i> ShardExecution<'i> {
+    /// Takes every buffer the execution needs out of `scratch` (cleared,
+    /// capacity kept) and resets the scratch's profile. `streams` must
+    /// come from [`QueryScratch::stream_buf`]; an empty dataset is complete
+    /// from the start.
+    fn start(
+        data: &'i Dataset,
+        roles: &'i [DimRole],
+        query: &'i SdQuery,
+        k: usize,
+        streams: Vec<Subproblem<'i>>,
+        scratch: &mut QueryScratch,
+        mask: Option<MaskView<'i>>,
+    ) -> Self {
+        let n = data.len();
+        let live = n - mask.map_or(0, |m| m.dead_among(n));
+        let k_eff = k.min(live);
+        // Pre-size: the pool holds at most one candidate per fetch round per
+        // stream beyond the k answers still wanted.
+        let mut pool = std::mem::take(&mut scratch.pool);
+        pool.clear();
+        pool.reserve(k_eff + streams.len());
+        let mut seen = std::mem::take(&mut scratch.seen);
+        seen.begin(n);
+        let mut answers = std::mem::take(&mut scratch.answers);
+        answers.clear();
+        answers.reserve(k_eff);
+        let mut floor = std::mem::take(&mut scratch.floor);
+        floor.clear();
+        let mut batch = std::mem::take(&mut scratch.rows);
+        batch.clear();
+        scratch.profile.reset();
+        ShardExecution {
+            data,
+            roles,
+            query,
+            k_eff,
+            // A floor over fewer than k real points cannot bound the global
+            // k-th score, so shards smaller than k (counting live rows)
+            // never publish.
+            publish: k_eff == k,
+            streams,
+            mask,
+            pool,
+            seen,
+            answers,
+            floor,
+            batch,
+            gather: std::mem::take(&mut scratch.gather),
+            scores: std::mem::take(&mut scratch.scores),
+            fbuf: std::mem::take(&mut scratch.fbuf),
+            profile: scratch.profile,
+            deadline: scratch.deadline.clone(),
+            done: n == 0,
+        }
+    }
+
     /// `true` once the execution has produced its canonical answer.
     pub fn done(&self) -> bool {
         self.done
@@ -1318,25 +1256,19 @@ impl<'i> ShardExecution<'i> {
         Ok(self.done)
     }
 
-    /// Execution counters accumulated so far (finalized counters — floor
-    /// value, emission count, stream-buffered walk statistics — land in the
-    /// scratch's profile at [`ShardExecution::finish_into`]).
-    pub fn profile(&self) -> &QueryProfile {
-        &self.profile
-    }
-
-    /// Sorts the canonical answer into `scratch.answers` and hands every
-    /// buffer back to the scratch for reuse. Must only be called once
-    /// [`ShardExecution::done`] returns `true`.
+    /// Sorts the answer into `scratch.answers`, finalizes the profile and
+    /// hands every buffer back to the scratch for reuse. Once
+    /// [`ShardExecution::done`] returns `true` the answer is canonical; an
+    /// execution whose [`step`](ShardExecution::step) failed must still be
+    /// finished, so its buffers are not lost (its answer then holds only
+    /// the certified prefix emitted before the abort).
     pub fn finish_into(mut self, scratch: &mut QueryScratch) {
-        debug_assert!(self.done, "finish_into before completion");
         self.answers.sort_unstable_by(rank_cmp);
-        for s in self.streams.iter_mut() {
-            s.flush_profile(&mut self.profile);
-        }
         self.profile.floor_value = self.floor.peek().map_or(f64::NEG_INFINITY, |r| r.0 .0);
         self.profile.emitted = self.answers.len() as u64;
-        for s in self.streams.drain(..) {
+        // Reverse order: the scratch pools frontier buffers LIFO, so each
+        // pair gets back the buffer it grew, query after query.
+        for s in self.streams.drain(..).rev() {
             s.recycle(scratch);
         }
         scratch.put_streams(self.streams);
@@ -1356,7 +1288,11 @@ impl<'i> ShardExecution<'i> {
 /// scratch-owned buffers: `streams` must have been assembled into a buffer
 /// obtained from [`QueryScratch::stream_buf`]; the vector (and every
 /// recyclable stream buffer inside it) is handed back to the scratch
-/// before returning. The answer slice is borrowed from the scratch.
+/// before returning — on a deadline abort too. The answer slice is
+/// borrowed from the scratch. It runs one [`ShardExecution`] to completion
+/// in a single step; the adapted-TA baseline calls it with one 1-D stream
+/// per dimension — precisely the configuration the §5 aggregation
+/// degenerates to with zero pairs, as Fig. 7i–j observes.
 ///
 /// With a `shared` [`SharedThreshold`] the loop publishes its running
 /// k-th-best exact score into the handle and terminates as soon as the
@@ -1376,157 +1312,107 @@ pub fn threshold_aggregate<'a, 's>(
     roles: &[DimRole],
     query: &SdQuery,
     k: usize,
-    mut streams: Vec<Subproblem<'a>>,
+    streams: Vec<Subproblem<'a>>,
     scratch: &'s mut QueryScratch,
     shared: Option<&SharedThreshold>,
     mask: Option<MaskView<'_>>,
 ) -> Result<&'s [ScoredPoint], SdError> {
-    // Recycle the streams before surfacing any error: a deadline abort
-    // must not leak the scratch's recycled buffers.
-    let aggregated = aggregate_into(data, roles, query, k, &mut streams, scratch, shared, mask);
-    for s in streams.drain(..) {
-        s.recycle(scratch);
+    let t0 = scratch.profile.timing.then(std::time::Instant::now);
+    let mut run = ShardExecution::start(data, roles, query, k, streams, scratch, mask);
+    let stepped = run.step(usize::MAX, shared, |_| {});
+    debug_assert!(
+        !matches!(stepped, Ok(false)),
+        "unbounded aggregation must complete"
+    );
+    // Finish before surfacing any error: a deadline abort must not leak
+    // the scratch's recycled buffers.
+    run.finish_into(scratch);
+    if let Some(t0) = t0 {
+        scratch.profile.aggregate_nanos += t0.elapsed().as_nanos() as u64;
     }
-    scratch.put_streams(streams);
-    aggregated?;
+    stepped?;
     Ok(&scratch.answers)
 }
 
 /// A 2-D subproblem stream over one §4 tree.
 ///
-/// Emissions carry exact θ_q subscores but arrive in *frontier* order, not
-/// sorted subscore order — the aggregation loop only requires an
+/// Emissions arrive in *frontier* order, a whole SoA leaf block at a time,
+/// not in sorted subscore order — the aggregation loop only requires an
 /// admissible **bound** on unemitted rows, so the stream runs on the
-/// pool-free uncertified [`PairFrontier`], whose heap priorities are θ_q
-/// score bounds: exact for points, and (for non-indexed θ_q) the Claim 6
-/// `dual_bound` linear programme applied per node, which walks the tree
-/// once where the old dual-stream bracket walked it twice.
+/// pool-free uncertified [`BlockFrontier`], whose heap priorities are θ_q
+/// score bounds (for non-indexed θ_q, the Claim 6 `dual_bound` linear
+/// programme applied per envelope node).
 pub struct Pair2DStream<'a> {
     inner: PairInner<'a>,
 }
 
 #[allow(clippy::large_enum_variant)] // hot-path state; boxing would allocate
 enum PairInner<'a> {
-    /// Both weights zero: every subscore is exactly 0; enumerate rows.
+    /// Both weights zero: every subscore is exactly 0; enumerate rows. Only
+    /// built by [`Subproblem::degenerate`], when every weight of the query
+    /// is zero (the planner drops both-zero pairs otherwise).
     Degenerate { next_row: u32, n: u32 },
-    /// Per-point fallback frontier for trees whose derived block layout is
-    /// stale (point-level mutation since the last rebuild).
-    Tree {
-        frontier: PairFrontier<'a>,
-        /// Dedup: a slot surfaces once per projection stream containing it.
-        seen: FastSet,
-        /// `√(α² + β²)`: converts normalised θ_q scores to raw subscores.
-        r: f64,
-    },
-    /// The hot path: a best-first frontier over the tree's SoA leaf
-    /// blocks. Whole blocks surface (and are prunable against the
-    /// k-th-score floor) at once; the batched [`Subproblem::next_unit`]
-    /// path kernel-scores a popped block's lanes on the pair and filters
-    /// them against the floor before emission. The stage below only
-    /// serves the one-point-at-a-time [`SubproblemStream`] contract.
+    /// A best-first frontier over the tree's SoA leaf blocks. Whole blocks
+    /// surface (and are prunable against the k-th-score floor) at once;
+    /// [`Subproblem::next_unit`] kernel-scores a popped block's lanes on
+    /// the pair and filters them against the floor before emission.
     Blocks {
         frontier: BlockFrontier<'a>,
         blocks: &'a BlockSet,
-        /// Lanes of the block most recently popped through `next()`:
-        /// `(slot, exact raw pair subscore)`, in lane order (the frontier
-        /// contract permits unsorted emission; `bound()` max-scans the
-        /// remainder).
-        staged: Vec<(u32, f64)>,
-        staged_pos: usize,
         qx: f64,
         qy: f64,
         alpha: f64,
         beta: f64,
+        /// `√(α² + β²)`: converts normalised θ_q bounds to raw subscores.
         r: f64,
     },
 }
 
 impl<'a> Pair2DStream<'a> {
-    /// Builds the stream, borrowing recycled buffers from `scratch`.
+    /// Builds the stream over the tree's leaf blocks, borrowing recycled
+    /// buffers from `scratch`. At least one weight must be non-zero. A
+    /// non-empty tree always carries its blocks (`build` derives them and
+    /// decode rebuilds them), so a tree without them is a corrupt input.
     pub(crate) fn with_scratch(
         index: &'a TopKIndex,
         qx: f64,
         qy: f64,
         alpha: f64,
         beta: f64,
-        n: usize,
         scratch: &mut QueryScratch,
     ) -> Result<Self, SdError> {
-        if alpha == 0.0 && beta == 0.0 {
-            return Ok(Pair2DStream {
-                inner: PairInner::Degenerate {
-                    next_row: 0,
-                    n: n as u32,
-                },
-            });
-        }
         let theta = Angle::from_weights(alpha, beta)?;
-        let r = alpha.hypot(beta);
         let eval = index.frontier_eval(&theta)?;
-        if let Some(blocks) = index.blocks() {
-            return Ok(Pair2DStream {
-                inner: PairInner::Blocks {
-                    frontier: BlockFrontier::with_scratch(
-                        blocks,
-                        qx,
-                        qy,
-                        eval,
-                        scratch.take_angle(),
-                    ),
-                    blocks,
-                    staged: scratch.take_stage(),
-                    staged_pos: 0,
-                    qx,
-                    qy,
-                    alpha,
-                    beta,
-                    r,
-                },
-            });
-        }
+        let blocks = index.blocks().ok_or_else(|| SdError::SnapshotCorrupt {
+            detail: "pair tree has no leaf-block layout".to_string(),
+        })?;
         Ok(Pair2DStream {
-            inner: PairInner::Tree {
-                frontier: PairFrontier::with_scratch(index, qx, qy, eval, scratch.take_angle()),
-                seen: scratch.take_set(),
-                r,
+            inner: PairInner::Blocks {
+                frontier: BlockFrontier::with_scratch(blocks, qx, qy, eval, scratch.take_angle()),
+                blocks,
+                qx,
+                qy,
+                alpha,
+                beta,
+                r: alpha.hypot(beta),
             },
         })
     }
 
     /// Hands the owned buffers back to the scratch.
     fn recycle(self, scratch: &mut QueryScratch) {
-        match self.inner {
-            PairInner::Degenerate { .. } => {}
-            PairInner::Tree { frontier, seen, .. } => {
-                scratch.put_angle(frontier.into_scratch());
-                scratch.put_set(seen);
-            }
-            PairInner::Blocks {
-                frontier, staged, ..
-            } => {
-                scratch.put_angle(frontier.into_scratch());
-                scratch.put_stage(staged);
-            }
+        if let PairInner::Blocks { frontier, .. } = self.inner {
+            scratch.put_angle(frontier.into_scratch());
         }
     }
 
-    /// Drains the walk counters buffered inside the frontier into `prof`.
-    /// Counters accumulate inside the frontiers (so `bound()` staging and
-    /// the one-point trait path need no profile plumbing) and are flushed
-    /// here — on every batched fetch and once more at query end.
-    fn flush_profile(&mut self, prof: &mut QueryProfile) {
-        match &mut self.inner {
-            PairInner::Degenerate { .. } => {}
-            PairInner::Tree { frontier, .. } => {
-                prof.nodes_visited += frontier.take_nodes();
-            }
-            PairInner::Blocks { frontier, .. } => {
-                let c = frontier.take_counters();
-                prof.nodes_visited += c.nodes_visited;
-                prof.envelope_nodes_rejected += c.envelope_rejected;
-                prof.blocks_floor_pruned += c.blocks_floor_pruned;
-                prof.blocks_popped += c.blocks_popped;
-            }
+    /// Admissible upper bound on the subscore of every row not yet
+    /// emitted; `None` once drained.
+    #[inline]
+    fn bound(&self) -> Option<f64> {
+        match &self.inner {
+            PairInner::Degenerate { next_row, n } => (next_row < n).then_some(0.0),
+            PairInner::Blocks { frontier, r, .. } => frontier.bound().map(|b| r * b),
         }
     }
 
@@ -1538,11 +1424,18 @@ impl<'a> Pair2DStream<'a> {
         prof: &mut QueryProfile,
     ) -> bool {
         match &mut self.inner {
+            PairInner::Degenerate { next_row, n } => {
+                if next_row >= n {
+                    return false;
+                }
+                prof.tree_rows_pulled += 1;
+                out.push(*next_row);
+                *next_row += 1;
+                true
+            }
             PairInner::Blocks {
                 frontier,
                 blocks,
-                staged,
-                staged_pos,
                 qx,
                 qy,
                 alpha,
@@ -1550,190 +1443,58 @@ impl<'a> Pair2DStream<'a> {
                 r,
             } => {
                 let r = *r;
-                // Rows staged by an earlier `next()` call are already
-                // surfaced (the frontier bound no longer covers them):
-                // flush them first.
-                let mut progressed = false;
-                if *staged_pos < staged.len() {
-                    for &(slot, _) in &staged[*staged_pos..] {
-                        out.push(slot);
-                    }
-                    staged.clear();
-                    *staged_pos = 0;
-                    progressed = true;
-                }
                 // One whole block per round; envelope-level pruning first.
                 let picked = frontier.next_block(|b| match prune {
                     Some((f, others)) => f > inflate(r * b + others),
                     None => false,
                 });
-                {
-                    let c = frontier.take_counters();
-                    prof.nodes_visited += c.nodes_visited;
-                    prof.envelope_nodes_rejected += c.envelope_rejected;
-                    prof.blocks_floor_pruned += c.blocks_floor_pruned;
-                    prof.blocks_popped += c.blocks_popped;
-                }
-                if let Some(block) = picked {
-                    progressed = true;
-                    let mut live = blocks.live(block);
-                    let slots = blocks.slots(block);
-                    match prune {
-                        Some((f, others)) => {
-                            // Per-lane floor filter on the cheap SoA pair
-                            // subscores: a lane with
-                            // `f > inflate(subscore + others)` can hold no
-                            // top-k row no matter what the other streams
-                            // contribute, and dies here — before it is
-                            // ever gathered or scored on the full query.
-                            let mut scores = [0.0f64; LANES];
-                            kernels::score_block_2d(
-                                &mut scores,
-                                blocks.xs(block),
-                                blocks.ys(block),
-                                *qx,
-                                *qy,
-                                *alpha,
-                                *beta,
-                            );
-                            while live != 0 {
-                                let l = live.trailing_zeros() as usize;
-                                live &= live - 1;
-                                if f <= inflate(scores[l] + others) {
-                                    out.push(slots[l]);
-                                } else {
-                                    prof.lanes_masked += 1;
-                                }
-                            }
-                        }
-                        None => {
-                            while live != 0 {
-                                let l = live.trailing_zeros() as usize;
-                                live &= live - 1;
+                let c = frontier.take_counters();
+                prof.nodes_visited += c.nodes_visited;
+                prof.envelope_nodes_rejected += c.envelope_rejected;
+                prof.blocks_floor_pruned += c.blocks_floor_pruned;
+                prof.blocks_popped += c.blocks_popped;
+                let Some(block) = picked else {
+                    return false;
+                };
+                let mut live = blocks.live(block);
+                let slots = blocks.slots(block);
+                match prune {
+                    Some((f, others)) => {
+                        // Per-lane floor filter on the cheap SoA pair
+                        // subscores: a lane with
+                        // `f > inflate(subscore + others)` can hold no
+                        // top-k row no matter what the other streams
+                        // contribute, and dies here — before it is
+                        // ever gathered or scored on the full query.
+                        let mut scores = [0.0f64; LANES];
+                        kernels::score_block_2d(
+                            &mut scores,
+                            blocks.xs(block),
+                            blocks.ys(block),
+                            *qx,
+                            *qy,
+                            *alpha,
+                            *beta,
+                        );
+                        while live != 0 {
+                            let l = live.trailing_zeros() as usize;
+                            live &= live - 1;
+                            if f <= inflate(scores[l] + others) {
                                 out.push(slots[l]);
+                            } else {
+                                prof.lanes_masked += 1;
                             }
                         }
                     }
-                }
-                progressed
-            }
-            _ => {
-                let fetched = self.next();
-                self.flush_profile(prof);
-                match fetched {
-                    Some((row, _)) => {
-                        prof.tree_rows_pulled += 1;
-                        out.push(row);
-                        true
+                    None => {
+                        while live != 0 {
+                            let l = live.trailing_zeros() as usize;
+                            live &= live - 1;
+                            out.push(slots[l]);
+                        }
                     }
-                    None => false,
                 }
-            }
-        }
-    }
-}
-
-/// Kernel-scores one SoA leaf block on its pair and stages the live lanes
-/// (lane order; the frontier contract permits unsorted emission) for the
-/// one-point-at-a-time trait path.
-#[allow(clippy::too_many_arguments)] // internal: one cold call site
-fn stage_block(
-    staged: &mut Vec<(u32, f64)>,
-    staged_pos: &mut usize,
-    blocks: &BlockSet,
-    block: u32,
-    qx: f64,
-    qy: f64,
-    alpha: f64,
-    beta: f64,
-) {
-    staged.clear();
-    *staged_pos = 0;
-    let mut scores = [0.0f64; LANES];
-    kernels::score_block_2d(
-        &mut scores,
-        blocks.xs(block),
-        blocks.ys(block),
-        qx,
-        qy,
-        alpha,
-        beta,
-    );
-    let mut live = blocks.live(block);
-    let slots = blocks.slots(block);
-    while live != 0 {
-        let l = live.trailing_zeros() as usize;
-        live &= live - 1;
-        staged.push((slots[l], scores[l]));
-    }
-}
-
-impl SubproblemStream for Pair2DStream<'_> {
-    fn bound(&self) -> Option<f64> {
-        match &self.inner {
-            PairInner::Degenerate { next_row, n } => (next_row < n).then_some(0.0),
-            PairInner::Tree { frontier, r, .. } => frontier.bound().map(|b| r * b),
-            PairInner::Blocks {
-                frontier,
-                staged,
-                staged_pos,
-                r,
-                ..
-            } => {
-                let tree = frontier.bound().map(|b| *r * b);
-                if *staged_pos < staged.len() {
-                    // Exact max over the unconsumed staged lanes.
-                    let head = staged[*staged_pos..]
-                        .iter()
-                        .fold(f64::NEG_INFINITY, |acc, &(_, sc)| acc.max(sc));
-                    Some(match tree {
-                        Some(t) => t.max(head),
-                        None => head,
-                    })
-                } else {
-                    tree
-                }
-            }
-        }
-    }
-
-    fn next(&mut self) -> Option<(u32, f64)> {
-        match &mut self.inner {
-            PairInner::Degenerate { next_row, n } => {
-                if next_row < n {
-                    let row = *next_row;
-                    *next_row += 1;
-                    Some((row, 0.0))
-                } else {
-                    None
-                }
-            }
-            PairInner::Tree { frontier, seen, r } => loop {
-                // Point priorities are exact normalised θ_q scores, so the
-                // raw subscore is a multiply away — no point-table access.
-                let (slot, score) = frontier.next_raw()?;
-                if seen.insert(slot) {
-                    return Some((slot, *r * score));
-                }
-            },
-            PairInner::Blocks {
-                frontier,
-                blocks,
-                staged,
-                staged_pos,
-                qx,
-                qy,
-                alpha,
-                beta,
-                ..
-            } => {
-                if *staged_pos >= staged.len() {
-                    let block = frontier.next_block(|_| false)?;
-                    stage_block(staged, staged_pos, blocks, block, *qx, *qy, *alpha, *beta);
-                }
-                let (slot, score) = staged[*staged_pos];
-                *staged_pos += 1;
-                Some((slot, score))
+                true
             }
         }
     }

@@ -4,7 +4,7 @@
 //! wins because most envelope nodes, leaf blocks and points are never
 //! scored — and [`QueryProfile`] is how that is observed. Every query
 //! entry point increments a fixed set of `u64` counters as it runs: the
-//! frontier walks ([`PairFrontier`]/[`BlockFrontier`]), the block-level
+//! leaf-block frontier walks ([`BlockFrontier`]), the block-level
 //! floor pruning, the per-lane mask filter, the batched scoring kernels,
 //! the delta seqscan, the tombstone mask and the k-way shard merge.
 //!
@@ -54,7 +54,6 @@
 //! assert!(p.aggregate_nanos > 0, "timing was enabled");
 //! ```
 //!
-//! [`PairFrontier`]: crate::topk::stream
 //! [`BlockFrontier`]: crate::topk::blocks
 
 use crate::kernels::LANES;
@@ -71,8 +70,8 @@ use crate::kernels::LANES;
 /// double-count).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryProfile {
-    /// Inner tree/envelope nodes expanded by the per-point and per-block
-    /// frontiers.
+    /// Inner envelope nodes expanded by the block frontiers of the §5 pair
+    /// streams.
     pub nodes_visited: u64,
     /// Envelope-tree nodes rejected against the k-th-score floor — every
     /// block and point underneath discarded unseen.
@@ -85,8 +84,9 @@ pub struct QueryProfile {
     /// Lanes of surfaced blocks dropped by the per-lane pair-subscore
     /// filter before gathering.
     pub lanes_masked: u64,
-    /// Rows surfaced by per-point tree frontiers (stale-block fallback and
-    /// degenerate enumeration).
+    /// Rows surfaced one at a time by a 2-D stream: only the degenerate
+    /// enumeration of an all-zero-weight query does this on the §5 path
+    /// (every other pair stream surfaces whole blocks).
     pub tree_rows_pulled: u64,
     /// Rows surfaced by the 1-D sorted-column streams.
     pub onedim_rows_pulled: u64,
@@ -224,7 +224,7 @@ impl QueryProfile {
     /// Stages after the first are derived from the counters:
     /// block-granularity stages count [`LANES`] points per block (the
     /// admissible upper bound on what survived), and rows from non-block
-    /// streams (1-D, per-point fallback, delta seqscan) pass undiminished
+    /// streams (1-D, degenerate enumeration, delta seqscan) pass undiminished
     /// through the stages that cannot prune them.
     pub fn funnel(&self, points_in_dataset: u64) -> [(&'static str, u64); 6] {
         let lanes = LANES as u64;

@@ -42,7 +42,7 @@ use std::collections::BinaryHeap;
 use crate::deadline::Deadline;
 use crate::multidim::Subproblem;
 use crate::profile::QueryProfile;
-use crate::topk::stream::{AngleScratch, FastSet};
+use crate::topk::stream::AngleScratch;
 use crate::types::{OrdF64, ScoredPoint};
 
 /// A generation-stamped membership set over dense row ids `0..n`: one
@@ -95,8 +95,6 @@ impl StampSet {
 pub struct QueryScratch {
     /// Recycled per-angle-stream state (4 frontier heaps + pool + seen).
     pub(crate) angles: Vec<AngleScratch>,
-    /// Spare seen-sets for streams that dedupe outside an angle scratch.
-    pub(crate) sets: Vec<FastSet>,
     /// Candidate pool of the outer threshold loop (TA aggregation and the
     /// bracketed single-pair path).
     pub(crate) pool: BinaryHeap<(OrdF64, Reverse<u32>)>,
@@ -132,9 +130,6 @@ pub struct QueryScratch {
     /// deadline captures its expiry at construction, so set a fresh one
     /// per query.
     pub deadline: Deadline,
-    /// Spare `(slot, subscore)` staging buffers for block-backed streams
-    /// serving the one-point-at-a-time trait path.
-    stages: Vec<Vec<(u32, f64)>>,
     /// Recycled subproblem list of the §5 aggregation. Empty between
     /// queries; only the allocation is retained.
     subproblems: Vec<Subproblem<'static>>,
@@ -165,33 +160,10 @@ impl QueryScratch {
         self.angles.push(s);
     }
 
-    /// Pops a recycled (cleared) seen-set.
-    pub(crate) fn take_set(&mut self) -> FastSet {
-        let mut s = self.sets.pop().unwrap_or_default();
-        s.clear();
-        s
-    }
-
-    /// Returns a seen-set to the pool for reuse.
-    pub(crate) fn put_set(&mut self, s: FastSet) {
-        self.sets.push(s);
-    }
-
-    /// Pops a recycled (cleared) stage buffer.
-    pub(crate) fn take_stage(&mut self) -> Vec<(u32, f64)> {
-        let mut s = self.stages.pop().unwrap_or_default();
-        s.clear();
-        s
-    }
-
-    /// Returns a stage buffer to the pool for reuse.
-    pub(crate) fn put_stage(&mut self, s: Vec<(u32, f64)>) {
-        self.stages.push(s);
-    }
-
     /// Hands out the recycled (empty) subproblem buffer for assembling a
     /// query's stream list. Give it back through
-    /// [`threshold_aggregate`](crate::multidim::threshold_aggregate),
+    /// [`threshold_aggregate`](crate::multidim::threshold_aggregate)
+    /// (or [`ShardExecution::finish_into`](crate::multidim::ShardExecution::finish_into)),
     /// which drains it and returns the allocation here.
     ///
     /// The move out is safe at any caller lifetime because `Subproblem` is

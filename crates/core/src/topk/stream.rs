@@ -346,10 +346,10 @@ pub(crate) enum FrontierEval {
 
 /// Uncertified best-first frontier over one §4 tree whose heap priorities
 /// *are* admissible normalised θ_q score bounds — exact scores for point
-/// entries. This is the engine of the §5 2-D subproblem streams: the
-/// threshold aggregation needs admissible bounds and near-sorted emission,
-/// not certified order, so there is no candidate pool and no certification
-/// compare per emission.
+/// entries. It serves the certified 2-D search over a [`TopKIndex`] whose
+/// SoA leaf blocks are stale after a point-level mutation (the caller keeps
+/// the candidate pool); the §5 2-D subproblem streams run on its block
+/// twin, [`BlockFrontier`](super::blocks::BlockFrontier).
 ///
 /// `next_raw` may surface the same slot twice (a point belongs to two of
 /// the four projection streams); callers dedupe with a seen-set.
@@ -359,10 +359,6 @@ pub(crate) struct PairFrontier<'a> {
     qy: f64,
     eval: FrontierEval,
     s: AngleScratch,
-    /// Inner-node expansions since the last [`PairFrontier::take_nodes`]
-    /// drain — the aggregation loop flushes this into its
-    /// [`QueryProfile`](crate::profile::QueryProfile).
-    nodes: u64,
 }
 
 impl<'a> PairFrontier<'a> {
@@ -381,7 +377,6 @@ impl<'a> PairFrontier<'a> {
             qy,
             eval,
             s,
-            nodes: 0,
         };
         if let Some(root) = index.root {
             for kind in StreamKind::ALL {
@@ -394,13 +389,6 @@ impl<'a> PairFrontier<'a> {
     /// Recovers the scratch buffers for reuse by a later query.
     pub(crate) fn into_scratch(self) -> AngleScratch {
         self.s
-    }
-
-    /// Drains the inner-node expansion count accumulated since the last
-    /// call (profiling).
-    #[inline]
-    pub(crate) fn take_nodes(&mut self) -> u64 {
-        std::mem::take(&mut self.nodes)
     }
 
     /// Admissible θ_q score bound of one node for one stream kind.
@@ -524,7 +512,6 @@ impl<'a> PairFrontier<'a> {
                 return Some((id, prio));
             }
             // Inner node: expand, then re-evaluate the argmax.
-            self.nodes += 1;
             for child in &index.nodes[id as usize].children {
                 match *child {
                     Child::Inner(c) => self.push_node(kind, c),

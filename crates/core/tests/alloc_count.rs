@@ -4,7 +4,7 @@
 //! (indexed and bracketed angles) and the §5 [`SdIndex`] aggregation path.
 //!
 //! The measurement uses a counting global allocator with a thread-local
-//! counter, so the single `#[test]` in this binary observes exactly the
+//! counter, so each `#[test]` in this binary observes exactly the
 //! allocations of its own thread. Warm-up and measurement run the *same*
 //! query sequence: buffer high-water marks are established in pass one, so
 //! any allocation in pass two is a genuine per-query regression.
@@ -15,7 +15,7 @@ use std::cell::Cell;
 use rand::{Rng, SeedableRng};
 use sdq_core::multidim::SdIndex;
 use sdq_core::topk::TopKIndex;
-use sdq_core::{Dataset, DimRole, QueryScratch, SdQuery};
+use sdq_core::{CancelToken, Dataset, Deadline, DimRole, QueryScratch, SdError, SdQuery};
 
 struct CountingAlloc;
 
@@ -148,5 +148,61 @@ fn steady_state_queries_do_not_allocate() {
     assert!(p.aggregate_nanos > 0, "timing was enabled");
 
     // The checksum keeps every query's work observable.
+    assert!(sink.is_finite());
+}
+
+/// A cancelled execution that is finished through
+/// `ShardExecution::finish_into` hands every buffer back: the steady-state
+/// queries that follow on the same scratch still allocate nothing.
+#[test]
+fn aborted_execution_returns_every_buffer() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xAB0E7);
+    let dims = 4;
+    let coords: Vec<f64> = (0..4_000 * dims).map(|_| rng.gen_range(0.0..1.0)).collect();
+    let roles = [
+        DimRole::Attractive,
+        DimRole::Repulsive,
+        DimRole::Repulsive,
+        DimRole::Attractive,
+    ];
+    let sd = SdIndex::build(Dataset::from_flat(dims, coords).unwrap(), &roles).unwrap();
+    let queries: Vec<SdQuery> = (0..8)
+        .map(|_| {
+            SdQuery::new(
+                (0..dims).map(|_| rng.gen_range(0.0..1.0)).collect(),
+                (0..dims).map(|_| rng.gen_range(0.0..1.0)).collect(),
+            )
+            .unwrap()
+        })
+        .collect();
+    let mut scratch = QueryScratch::new();
+    let mut sink = 0.0f64;
+    let run = |scratch: &mut QueryScratch, sink: &mut f64| {
+        for q in &queries {
+            let r = sd.query_with(q, 16, scratch).unwrap();
+            *sink += r.iter().map(|sp| sp.score).sum::<f64>();
+        }
+    };
+    let token = CancelToken::new();
+    token.cancel();
+    let cancelled = Deadline::cancelled_by(&token);
+    let abort_then_run = |scratch: &mut QueryScratch, sink: &mut f64| {
+        scratch.deadline = cancelled.clone();
+        let mut exec = sd.begin_query(&queries[0], 16, scratch, None).unwrap();
+        assert!(matches!(
+            exec.step(8, None, |_| {}),
+            Err(SdError::Cancelled)
+        ));
+        assert!(!exec.done());
+        exec.finish_into(scratch);
+        scratch.deadline = Deadline::none();
+        run(scratch, sink);
+    };
+    abort_then_run(&mut scratch, &mut sink); // warm-up: buffers grow here
+    let n = count_allocs(|| abort_then_run(&mut scratch, &mut sink));
+    assert_eq!(
+        n, 0,
+        "an aborted execution and the queries after it allocated {n} times"
+    );
     assert!(sink.is_finite());
 }

@@ -100,7 +100,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sdq_core::mask::{MaskView, RowMask};
-use sdq_core::multidim::{resolve_threads, QueryPlan, SdIndex, SdIndexOptions};
+use sdq_core::multidim::{par_batch, resolve_threads, QueryPlan, SdIndex, SdIndexOptions};
 use sdq_core::score::rank_cmp;
 use sdq_core::telemetry::{bucket_bounds_nanos, EventKind, Telemetry, HISTO_BUCKETS};
 use sdq_core::threshold::{track_floor, SharedThreshold};
@@ -1007,46 +1007,50 @@ impl SdEngine {
                 ..
             } = &mut *scratch;
             let mut runs = Vec::with_capacity(s);
-            for (((shard, &offset), &dead), qs) in self
-                .shards
-                .iter()
-                .zip(&self.offsets)
-                .zip(&self.muts.shard_dead)
-                .zip(workers.iter_mut())
-            {
-                let shard_mask = shard_mask_view(mask, offset, dead);
-                runs.push(shard.begin_query(query, k, qs, shard_mask)?);
-            }
             // Rounds per slice: enough that each slice makes real bound
             // progress, small enough that the merged floor forms while
             // every shard is still early in its descent.
             const SLICE_ROUNDS: usize = 8;
-            loop {
-                let mut all_done = true;
-                for run in runs.iter_mut() {
-                    if !run.done() {
-                        // A deadline abort drops the in-flight executions;
-                        // the scratch buffers they own are lost, which is
-                        // acceptable on this rare error path.
-                        all_done &= run.step(SLICE_ROUNDS, Some(&shared), |score| {
-                            track_floor(floor, k, score);
-                        })?;
+            let stepped = (|| -> Result<(), SdError> {
+                for (((shard, &offset), &dead), qs) in self
+                    .shards
+                    .iter()
+                    .zip(&self.offsets)
+                    .zip(&self.muts.shard_dead)
+                    .zip(workers.iter_mut())
+                {
+                    let shard_mask = shard_mask_view(mask, offset, dead);
+                    runs.push(shard.begin_query(query, k, qs, shard_mask)?);
+                }
+                loop {
+                    let mut all_done = true;
+                    for run in runs.iter_mut() {
+                        if !run.done() {
+                            all_done &= run.step(SLICE_ROUNDS, Some(&shared), |score| {
+                                track_floor(floor, k, score);
+                            })?;
+                        }
+                    }
+                    if floor.len() == k {
+                        shared.raise(floor.peek().expect("floor is non-empty").0 .0);
+                    }
+                    if all_done {
+                        return Ok(());
                     }
                 }
-                if floor.len() == k {
-                    shared.raise(floor.peek().expect("floor is non-empty").0 .0);
-                }
-                if all_done {
-                    break;
-                }
+            })();
+            // Finish every started execution, after an abort too, so each
+            // worker scratch gets its buffers back.
+            for (run, qs) in runs.into_iter().zip(workers.iter_mut()) {
+                run.finish_into(qs);
             }
-            for (i, ((run, qs), (out, &offset))) in runs
-                .into_iter()
-                .zip(workers.iter_mut())
-                .zip(lists.iter_mut().zip(&self.offsets))
+            stepped?;
+            for (i, ((qs, out), &offset)) in workers
+                .iter()
+                .zip(lists.iter_mut())
+                .zip(&self.offsets)
                 .enumerate()
             {
-                run.finish_into(qs);
                 self.metrics.record_shard_floor(i, qs.profile.floor_updates);
                 out.clear();
                 out.extend(
@@ -1204,51 +1208,10 @@ impl SdEngine {
         k: usize,
         threads: usize,
     ) -> Result<Vec<Vec<ScoredPoint>>, SdError> {
-        let threads = resolve_threads(threads).min(resolve_threads(0));
-        if threads <= 1 || queries.len() <= 1 {
-            let mut scratch = EngineScratch::new();
-            return queries
-                .iter()
-                .map(|q| {
-                    self.query_inner(q, k, &mut scratch, 1)?;
-                    Ok(scratch.answers.clone())
-                })
-                .collect();
-        }
-        let n_workers = threads.min(queries.len());
-        type Bucket = Vec<(usize, Result<Vec<ScoredPoint>, SdError>)>;
-        let buckets: Vec<Bucket> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut scratch = EngineScratch::new();
-                        queries
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(n_workers)
-                            .map(|(i, q)| {
-                                let r = self
-                                    .query_inner(q, k, &mut scratch, 1)
-                                    .map(|()| scratch.answers.clone());
-                                (i, r)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch worker panicked"))
-                .collect()
-        });
-        let mut out: Vec<Vec<ScoredPoint>> = vec![Vec::new(); queries.len()];
-        for bucket in buckets {
-            for (i, r) in bucket {
-                out[i] = r?;
-            }
-        }
-        Ok(out)
+        par_batch(queries, threads, EngineScratch::new, |q, scratch| {
+            self.query_inner(q, k, scratch, 1)?;
+            Ok(scratch.answers.clone())
+        })
     }
 }
 
